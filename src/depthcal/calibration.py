@@ -29,19 +29,12 @@ MAD_SCALE = 0.6745  # normal-consistency constant of the modified Z-score
 
 
 @dataclass
-class SanityConfig:
-    """Minimum visibility a frame must offer to be worth estimating."""
+class CalibrationConfig:
+    """The `calibration` config section: frame sanity check and MAD screening."""
 
+    # minimum visibility a frame must offer to be worth estimating
     min_ee_points: int = 300
     min_bbox_diagonal: float = 0.04
-
-    def __post_init__(self):
-        if self.min_ee_points <= 0 or self.min_bbox_diagonal <= 0:
-            raise ConfigError("sanity thresholds must be positive")
-
-
-@dataclass
-class OutlierConfig:
     modified_zscore_threshold: float = 3.5
     # below this MAD the sample is treated as constant and any deviation
     # beyond it is an outlier
@@ -51,6 +44,8 @@ class OutlierConfig:
     translation_outlier_mode: str = "union"
 
     def __post_init__(self):
+        if self.min_ee_points <= 0 or self.min_bbox_diagonal <= 0:
+            raise ConfigError("sanity thresholds must be positive")
         if self.modified_zscore_threshold <= 0:
             raise ConfigError("modified_zscore_threshold must be positive")
         if self.mad_zero_epsilon <= 0:
@@ -65,9 +60,9 @@ class SanityCheck:
     reason: str | None = None
 
 
-def sanity_check(ee_cloud: PointCloud, cfg: SanityConfig | None = None) -> SanityCheck:
+def sanity_check(ee_cloud: PointCloud, cfg: CalibrationConfig | None = None) -> SanityCheck:
     """Reject frames where too little of the end effector is visible."""
-    cfg = cfg or SanityConfig()
+    cfg = cfg or CalibrationConfig()
     n = len(ee_cloud)
     if n < cfg.min_ee_points:
         return SanityCheck(False, f"too few end-effector points: {n} < {cfg.min_ee_points}")
@@ -85,14 +80,14 @@ def frame_calibration(t_c_ee: Pose, t_b_ee: Pose) -> Pose:
     return compose(t_c_ee, invert(t_b_ee))
 
 
-def mad_outlier_mask(values, cfg: OutlierConfig | None = None) -> np.ndarray:
+def mad_outlier_mask(values, cfg: CalibrationConfig | None = None) -> np.ndarray:
     """Modified Z-score outliers (True = outlier).
 
     M_i = 0.6745 (x_i - median) / MAD; |M_i| above the threshold flags
     the value.  When the MAD collapses below mad_zero_epsilon the sample
     is essentially constant and any deviation beyond the epsilon flags.
     """
-    cfg = cfg or OutlierConfig()
+    cfg = cfg or CalibrationConfig()
     x = np.asarray(values, dtype=float).reshape(-1)
     if len(x) == 0:
         raise EmptyInput("cannot screen an empty sample for outliers")
@@ -104,7 +99,7 @@ def mad_outlier_mask(values, cfg: OutlierConfig | None = None) -> np.ndarray:
 
 
 def rotation_outlier_mask(
-    quaternions: Sequence[Quaternion], cfg: OutlierConfig | None = None
+    quaternions: Sequence[Quaternion], cfg: CalibrationConfig | None = None
 ) -> np.ndarray:
     """Outliers by rotational distance to the group mean orientation."""
     if len(quaternions) == 0:
@@ -123,7 +118,7 @@ class AggregateResult:
     fallback: bool = False
 
 
-def aggregate(poses: Sequence[Pose], cfg: OutlierConfig | None = None) -> AggregateResult:
+def aggregate(poses: Sequence[Pose], cfg: CalibrationConfig | None = None) -> AggregateResult:
     """Average poses after removing translation and rotation outliers.
 
     Translations are screened per axis and the per-axis flags combined
@@ -133,7 +128,7 @@ def aggregate(poses: Sequence[Pose], cfg: OutlierConfig | None = None) -> Aggreg
     quaternion averaging.  If screening removes everything, all inputs
     are averaged and the result is flagged as a fallback.
     """
-    cfg = cfg or OutlierConfig()
+    cfg = cfg or CalibrationConfig()
     if len(poses) == 0:
         raise EmptyInput("cannot aggregate zero poses")
     t = np.array([p.translation for p in poses])
@@ -201,7 +196,7 @@ class CalibrationResult:
 
 
 def calibration_from_estimates(
-    frame_estimates, outliers: OutlierConfig | None = None, use_icp: bool = True
+    frame_estimates, cfg: CalibrationConfig | None = None, use_icp: bool = True
 ) -> CalibrationResult:
     """Aggregate per-frame estimates into the final calibration.
 
@@ -209,7 +204,6 @@ def calibration_from_estimates(
     is cleaned and averaged, and the group means are aggregated the same
     way into the final pose (two-level hierarchy).
     """
-    outliers = outliers or OutlierConfig()
     samples: dict[int, list[tuple[int, str, Pose]]] = {}
     method_counts: dict[str, int] = {}
     rejected = 0
@@ -228,7 +222,7 @@ def calibration_from_estimates(
     groups = []
     for config_id in sorted(samples):
         rows = samples[config_id]
-        agg = aggregate([p for _, _, p in rows], outliers)
+        agg = aggregate([p for _, _, p in rows], cfg)
         groups.append(
             GroupRecord(
                 config_id=config_id,
@@ -240,7 +234,7 @@ def calibration_from_estimates(
             )
         )
 
-    final = aggregate([g.pose for g in groups], outliers)
+    final = aggregate([g.pose for g in groups], cfg)
     return CalibrationResult(
         calibration=final.pose,
         groups=groups,
@@ -262,4 +256,6 @@ def calibrate(dataset, cfg=None) -> CalibrationResult:
     from .pipeline import PipelineConfig, estimate_frames
 
     cfg = cfg or PipelineConfig()
-    return calibration_from_estimates(estimate_frames(dataset, cfg), cfg.outliers, cfg.use_icp)
+    return calibration_from_estimates(
+        estimate_frames(dataset, cfg), cfg.calibration, cfg.icp.enabled
+    )

@@ -1,9 +1,13 @@
 """Command-line interface: simulate, calibrate, estimate, evaluate.
 
-The config file is one JSON document with a section per module; any key
-absent falls back to its default and unknown keys are rejected by name.
-All JSON output is printed with floats at fixed 9-digit precision, so a
-given config and seed always produce byte-identical bytes.
+The config file is one JSON document with a section per module.  It is
+loaded straight into CliConfig: PipelineConfig's fields (seed, jobs and
+the stage sections) plus the simulator and evaluation sections.  Each
+section is its module's dataclass, whose field defaults are the config
+defaults; any key absent keeps its default and unknown keys are
+rejected by dotted path.  All JSON output is printed with floats at
+fixed 9-digit precision, so a given config and seed always produce
+byte-identical bytes.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 no usable frames,
 5 frame failed the visibility checks, 6 dataset has no ground truth.
@@ -12,13 +16,13 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 no usable frames,
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-from .calibration import OutlierConfig, SanityConfig, calibrate
+from .calibration import calibrate
 from .errors import (
     ConfigError,
     DatasetError,
@@ -27,169 +31,70 @@ from .errors import (
     NoUsableFrames,
 )
 from .evaluation import (
+    EvaluationConfig,
     evaluate_dataset,
     format_report,
     per_frame_csv,
     rotation_error,
     translation_error,
 )
-from .icp import IcpConfig
 from .dataset_io import json_bytes, load_dataset, save_dataset
-from .pipeline import (
-    PipelineConfig,
-    effective_icp_config,
-    effective_trim_fraction,
-    estimate_frame,
-)
-from .simulator import HalfspaceCut, default_scenario, generate_dataset
-
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "jobs": 1,
-    "simulator": {
-        "noise_sigma_1m": 0.0,
-        "noise_exponent": 2.0,
-        "dropout": 0.0,
-        "frames_per_config": 10,
-        "with_background": True,
-        # optional {"axis": 0|1|2, "threshold": meters, "remove_above": bool}
-        "occlusion": None,
-    },
-    "labeling": {
-        "background_match_radius": 0.005,
-        "ee_bbox_inflation": 0.01,
-        "keypoint_distance_threshold": 0.01,
-    },
-    "segmentation": {
-        "flip_probability": 0.0,
-        "speckle_rate": 0.0,
-        "linkage_distance": 0.03,
-        "min_cluster_fraction": 0.2,
-    },
-    "rpt": {
-        "rotation_sigma_deg": 0.0,
-        "trim_fraction": 0.002,
-    },
-    "kpm": {
-        "sigma_m": 0.0,
-        "dropout": 0.0,
-        "quality_radius_m": 0.03,
-        "snap_radius_m": 0.01,
-    },
-    "icp": {
-        "enabled": True,
-        "max_correspondence_distance": 0.02,
-        "max_iterations": 50,
-        "relative_rmse_epsilon": 1e-6,
-        "relative_fitness_epsilon": 1e-6,
-        "source_voxel_size": 0.005,
-        "source_max_points": 5000,
-    },
-    "calibration": {
-        "min_ee_points": 300,
-        "min_bbox_diagonal": 0.04,
-        "modified_zscore_threshold": 3.5,
-        "mad_zero_epsilon": 1e-6,
-        "translation_outlier_mode": "union",
-    },
-    "evaluation": {
-        "add_thresholds": [0.005, 0.01, 0.02, 0.03, 0.05],
-        "write_csv": False,
-    },
-}
+from .pipeline import PipelineConfig, estimate_frame, resolve_config
+from .simulator import SimulatorConfig, default_scenario, generate_dataset
 
 
-def merge_config(defaults: dict, user: dict, path: str = "") -> dict:
-    """Overlay user settings on the defaults, rejecting unknown keys."""
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        where = f"{path}{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {where}")
-        base = defaults[key]
-        if isinstance(base, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {where} must be a JSON object")
-            merged[key] = merge_config(base, value, f"{where}.")
-        else:
-            merged[key] = value
-    return merged
+@dataclasses.dataclass
+class CliConfig(PipelineConfig):
+    """The whole config file: the pipeline settings plus the CLI's own."""
+
+    simulator: SimulatorConfig = dataclasses.field(default_factory=SimulatorConfig)
+    evaluation: EvaluationConfig = dataclasses.field(default_factory=EvaluationConfig)
 
 
-def load_config(path: str | None) -> dict:
+def from_dict(cls, data, where: str = ""):
+    """Build dataclass cls from a JSON object, rejecting unknown keys.
+
+    A field whose default is a dataclass is a config section and is
+    built recursively; any other field takes the JSON value as it is.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {where or '(top level)'} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    values = {}
+    for key, value in data.items():
+        path = f"{where}.{key}" if where else key
+        if key not in fields:
+            raise ConfigError(f"unknown config key: {path}")
+        section = fields[key].default_factory
+        if dataclasses.is_dataclass(section):
+            value = from_dict(section, value, path)
+        values[key] = value
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad config value in {where or '(top level)'}: {e}") from e
+
+
+def load_config(path: str | None) -> CliConfig:
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+        return CliConfig()
     text = Path(path).read_text()  # unreadable file is an I/O failure
     try:
-        user = json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(user, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return merge_config(DEFAULT_CONFIG, user)
+    return from_dict(CliConfig, data)
 
 
-def pipeline_config(cfg: dict, args) -> PipelineConfig:
-    """Build the estimation settings, with CLI flags taking precedence."""
-    icp, seg, cal = cfg["icp"], cfg["segmentation"], cfg["calibration"]
-    use_icp = icp["enabled"] and not getattr(args, "no_icp", False)
-    try:
-        return PipelineConfig(
-            seed=cfg["seed"] if args.seed is None else args.seed,
-            rotation_sigma_deg=cfg["rpt"]["rotation_sigma_deg"],
-            keypoint_sigma_m=cfg["kpm"]["sigma_m"],
-            keypoint_dropout=cfg["kpm"]["dropout"],
-            keypoint_quality_radius_m=cfg["kpm"]["quality_radius_m"],
-            keypoint_snap_radius_m=cfg["kpm"]["snap_radius_m"],
-            segmentation_flip_probability=seg["flip_probability"],
-            segmentation_speckle_rate=seg["speckle_rate"],
-            linkage_distance=seg["linkage_distance"],
-            min_cluster_fraction=seg["min_cluster_fraction"],
-            rpt_trim_fraction=cfg["rpt"]["trim_fraction"],
-            use_icp=use_icp,
-            jobs=cfg["jobs"] if args.jobs is None else args.jobs,
-            icp=IcpConfig(
-                max_correspondence_distance=icp["max_correspondence_distance"],
-                max_iterations=icp["max_iterations"],
-                relative_rmse_epsilon=icp["relative_rmse_epsilon"],
-                relative_fitness_epsilon=icp["relative_fitness_epsilon"],
-                source_voxel_size=icp["source_voxel_size"],
-                source_max_points=icp["source_max_points"],
-            ),
-            sanity=SanityConfig(
-                min_ee_points=cal["min_ee_points"],
-                min_bbox_diagonal=cal["min_bbox_diagonal"],
-            ),
-            outliers=OutlierConfig(
-                modified_zscore_threshold=cal["modified_zscore_threshold"],
-                mad_zero_epsilon=cal["mad_zero_epsilon"],
-                translation_outlier_mode=cal["translation_outlier_mode"],
-            ),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad config value: {e}") from e
-
-
-def scenario_from_config(cfg: dict, args):
-    sim = cfg["simulator"]
-    occlusion = None
-    if sim["occlusion"] is not None:
-        try:
-            occlusion = HalfspaceCut.from_dict(sim["occlusion"])
-        except (TypeError, KeyError, ValueError) as e:
-            raise ConfigError(f"bad simulator.occlusion value: {e}") from e
-    try:
-        return default_scenario(
-            seed=cfg["seed"] if args.seed is None else args.seed,
-            noise_sigma_1m=sim["noise_sigma_1m"],
-            noise_exponent=sim["noise_exponent"],
-            dropout=sim["dropout"],
-            frames_per_config=sim["frames_per_config"],
-            occlusion=occlusion,
-            with_background=sim["with_background"],
-        )
-    except (TypeError, ValueError, InvalidDimensions) as e:
-        raise ConfigError(f"bad simulator config value: {e}") from e
+def config_from_args(args) -> CliConfig:
+    """The --config file's settings, with the command-line flags applied."""
+    cfg = load_config(args.config)
+    flags = {"seed": args.seed, "jobs": args.jobs}
+    return dataclasses.replace(
+        cfg,
+        **{k: v for k, v in flags.items() if v is not None},
+        icp=dataclasses.replace(cfg.icp, enabled=cfg.icp.enabled and not args.no_icp),
+    )
 
 
 def _emit_json(payload, output: str | None) -> None:
@@ -206,8 +111,12 @@ def _pose_errors_vs(gt, pose) -> tuple[float, float]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    dataset = generate_dataset(scenario_from_config(cfg, args))
+    cfg = config_from_args(args)
+    try:
+        scenario = default_scenario(cfg.seed, **dataclasses.asdict(cfg.simulator))
+    except (TypeError, ValueError, InvalidDimensions) as e:
+        raise ConfigError(f"bad simulator config value: {e}") from e
+    dataset = generate_dataset(scenario)
     out = args.output or "dataset"
     save_dataset(dataset, out)
     print(f"wrote {len(dataset.frames)} frames to {out}", file=sys.stderr)
@@ -217,9 +126,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = config_from_args(args)
     dataset = load_dataset(args.dataset)
-    result = calibrate(dataset, pipeline_config(cfg, args))
+    result = calibrate(dataset, cfg)
     _emit_json(result.to_dict(), args.output)
     if dataset.gt_calibration is not None:
         et, er = _pose_errors_vs(dataset.gt_calibration, result.calibration)
@@ -236,21 +145,18 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = config_from_args(args)
     dataset = load_dataset(args.dataset)
     if not 0 <= args.frame < len(dataset.frames):
         raise ConfigError(
             f"frame index {args.frame} out of range (dataset has {len(dataset.frames)} frames)"
         )
-    pcfg = pipeline_config(cfg, args)
     fe = estimate_frame(
         dataset.frames[args.frame],
         args.frame,
         dataset.model,
-        pcfg,
+        resolve_config(dataset, cfg),
         dataset.gt_calibration,
-        trim_fraction=effective_trim_fraction(dataset, pcfg),
-        icp_cfg=effective_icp_config(dataset, pcfg),
     )
     if fe.skipped_reason is not None:
         print(f"frame {args.frame} unusable: {fe.skipped_reason}", file=sys.stderr)
@@ -288,17 +194,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = config_from_args(args)
     dataset = load_dataset(args.dataset)
-    thresholds = tuple(cfg["evaluation"]["add_thresholds"])
-    report = evaluate_dataset(dataset, pipeline_config(cfg, args), thresholds)
+    report = evaluate_dataset(dataset, cfg, cfg.evaluation.add_thresholds)
     _emit_json(report.to_dict(), args.output)
     table = format_report(report)
     if args.output is None:
         print(table, file=sys.stderr)
     else:
         print(table)
-    if cfg["evaluation"]["write_csv"]:
+    if cfg.evaluation.write_csv:
         if args.output is None:
             print("write_csv needs --output to name the CSV file", file=sys.stderr)
         else:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, InvalidDimensions
 from .geometry import PointCloud, Pose
 from .simulator import Dataset, Frame, build_ee_model_from_params
 
@@ -132,15 +132,20 @@ def load_dataset(directory: Path | str) -> Dataset:
     if manifest.get("ee_model") is None:
         raise DatasetError(f"{manifest_path} is missing the end-effector model parameters")
 
-    gt = manifest.get("gt_calibration")
-    frames = []
-    for rec in manifest.get("frames", []):
-        cloud = read_ply(directory / rec["file"])
-        frames.append(Frame(cloud, int(rec["config_id"]), Pose.from_dict(rec["t_b_ee"])))
+    try:
+        records = [
+            (directory / rec["file"], int(rec["config_id"]), Pose.from_dict(rec["t_b_ee"]))
+            for rec in manifest.get("frames", [])
+        ]
+        gt = manifest.get("gt_calibration")
+        gt_calibration = None if gt is None else Pose.from_dict(gt)
+        model = build_ee_model_from_params(manifest["ee_model"])
+    except (KeyError, TypeError, ValueError, InvalidDimensions) as e:
+        raise DatasetError(f"{manifest_path} is malformed: {type(e).__name__}: {e}") from e
     return Dataset(
-        frames=frames,
-        gt_calibration=None if gt is None else Pose.from_dict(gt),
-        model=build_ee_model_from_params(manifest["ee_model"]),
+        frames=[Frame(read_ply(path), config_id, t_b_ee) for path, config_id, t_b_ee in records],
+        gt_calibration=gt_calibration,
+        model=model,
         scenario=manifest.get("scenario", {}),
         warnings=list(manifest.get("warnings", [])),
     )

@@ -23,6 +23,19 @@ from .pipeline import PipelineConfig, estimate_frames
 DEFAULT_ADD_THRESHOLDS = (0.005, 0.01, 0.02, 0.03, 0.05)
 
 
+@dataclass
+class EvaluationConfig:
+    """The `evaluation` config section: report settings of the CLI."""
+
+    add_thresholds: tuple[float, ...] = DEFAULT_ADD_THRESHOLDS
+    # also write the per-frame rows as CSV next to the --output report
+    write_csv: bool = False
+
+    def __post_init__(self):
+        # a JSON array arrives as a list
+        self.add_thresholds = tuple(self.add_thresholds)
+
+
 def translation_error(gt: Pose, pred: Pose) -> float:
     """Euclidean distance between the two translations."""
     return float(np.linalg.norm(gt.translation - pred.translation))
@@ -124,7 +137,7 @@ def evaluate_dataset(
     One estimation pass feeds everything: per-frame errors for each
     method with and without refinement, the per-variant summaries, and
     the final-calibration errors for both refinement settings.  With
-    use_icp disabled only the raw variants appear.
+    ICP disabled only the raw variants appear.
     """
     cfg = cfg or PipelineConfig()
     if dataset.gt_calibration is None:
@@ -182,10 +195,10 @@ def evaluate_dataset(
             )
 
     calibration: dict[str, dict[str, float]] = {}
-    variants = [("with_icp", True)] if cfg.use_icp else []
+    variants = [("with_icp", True)] if cfg.icp.enabled else []
     variants.append(("without_icp", False))
     for name, use in variants:
-        res = calibration_from_estimates(estimates, cfg.outliers, use_icp=use)
+        res = calibration_from_estimates(estimates, cfg.calibration, use_icp=use)
         calibration[name] = {
             "translation_error_m": translation_error(dataset.gt_calibration, res.calibration),
             "rotation_error_deg": math.degrees(

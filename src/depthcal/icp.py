@@ -46,6 +46,10 @@ EPS_ABS = 1e-12
 
 @dataclass
 class IcpConfig:
+    """The `icp` config section."""
+
+    # False skips refinement; the raw route poses are used
+    enabled: bool = True
     max_correspondence_distance: float = 0.02
     max_iterations: int = 50
     relative_rmse_epsilon: float = 1e-6
@@ -110,17 +114,51 @@ def voxel_downsample(
     return cloud_out
 
 
-def _correspondences(
-    src: np.ndarray, tgt: np.ndarray, max_dist: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs (i, j, distance): tgt[j] with its nearest source point src[i]."""
-    d, i = cKDTree(src).query(tgt, distance_upper_bound=max_dist)
-    j = np.flatnonzero(np.isfinite(d))
-    return i[j], j, d[j]
+class _NearestSource:
+    """Target-driven pairing: each target point with its nearest source point.
+
+    The same target is paired against successive placements of one source
+    set, and most partners survive a small move.  A target point keeps its
+    partner while the partner's lead over the runner-up, measured at the
+    last search, exceeds twice the largest source displacement since then
+    (triangle inequality); only the other points are searched again.
+    Leads within EPS_ABS of zero, exact ties among them, are settled by the
+    gated 1-NN search, so every pair is the one a fresh search would give.
+    """
+
+    def __init__(self, tgt: np.ndarray, max_dist: float):
+        self.tgt = tgt
+        self.max_dist = max_dist
+        self.src: np.ndarray | None = None
+        self.idx = np.zeros(len(tgt), dtype=np.intp)
+        # a lead of zero marks a point for search, so the first call finds all
+        self.lead = np.zeros(len(tgt))
+
+    def __call__(self, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs (i, j, distance) within max_dist for this source placement."""
+        if self.src is not None:
+            self.lead -= 2.0 * np.sqrt(((src - self.src) ** 2).sum(axis=1).max())
+        self.src = src
+        redo = np.flatnonzero(self.lead <= EPS_ABS)
+        if len(redo):
+            tree = cKDTree(src)
+            d, i = tree.query(self.tgt[redo], k=2)
+            self.idx[redo] = i[:, 0]
+            self.lead[redo] = d[:, 1] - d[:, 0]
+            tied = redo[self.lead[redo] <= EPS_ABS]
+            if len(tied):
+                _, i1 = tree.query(self.tgt[tied], distance_upper_bound=self.max_dist)
+                found = i1 < len(src)
+                self.idx[tied[found]] = i1[found]
+        # the gate of cKDTree's distance_upper_bound: squared distance
+        # strictly below the squared bound
+        d2 = ((src[self.idx] - self.tgt) ** 2).sum(axis=1)
+        j = np.flatnonzero(d2 < self.max_dist * self.max_dist)
+        return self.idx[j], j, np.sqrt(d2[j])
 
 
 def _pair_metrics(si: np.ndarray, d: np.ndarray, n_src: int) -> tuple[float, float]:
-    fitness = len(np.unique(si)) / n_src
+    fitness = np.count_nonzero(np.bincount(si, minlength=n_src)) / n_src
     return fitness, float(np.sqrt(np.mean(d**2)))
 
 
@@ -132,7 +170,7 @@ def _median_spacing(pts: np.ndarray) -> float:
 
 def _register(
     src_pts: np.ndarray,
-    tgt: np.ndarray,
+    pairs: _NearestSource,
     cfg: IcpConfig,
     si: np.ndarray,
     ti: np.ndarray,
@@ -144,7 +182,7 @@ def _register(
     pair metrics, the iteration count, the convergence flag and the RMSE
     history of accepted iterations.
     """
-    max_d = cfg.max_correspondence_distance
+    tgt = pairs.tgt
     n_src = len(src_pts)
     cur = src_pts
     delta = Pose.identity()
@@ -161,7 +199,7 @@ def _register(
         except DegenerateGeometry:
             break
         cand = step.apply(cur)
-        si2, ti2, d2 = _correspondences(cand, tgt, max_d)
+        si2, ti2, d2 = pairs(cand)
         if len(si2) == 0:
             break
         new_fitness, new_rmse = _pair_metrics(si2, d2, n_src)
@@ -206,10 +244,9 @@ def icp_refine(
     if not (np.all(np.isfinite(initial.translation))):
         raise ValueError("initial pose translation is not finite")
 
-    max_d = cfg.max_correspondence_distance
-    tgt = target.points
+    pairs = _NearestSource(target.points, cfg.max_correspondence_distance)
     src0 = source.points
-    si, ti, d = _correspondences(src0, tgt, max_d)
+    si, ti, d = pairs(src0)
     if len(si) == 0:
         raise NoCorrespondences(
             "no target point within max_correspondence_distance of the "
@@ -228,18 +265,18 @@ def icp_refine(
                 -0.5 * pitch, 0.5 * pitch, size=src0.shape
             )
             jittered = src0 + shift
-            sj, tj, dj = _correspondences(jittered, tgt, max_d)
+            sj, tj, dj = pairs(jittered)
             if len(sj) >= 3:
-                pre = _register(jittered, tgt, cfg, sj, tj, dj)[0]
+                pre = _register(jittered, pairs, cfg, sj, tj, dj)[0]
                 cand_pts = pre.apply(src0)
-                si2, ti2, d2 = _correspondences(cand_pts, tgt, max_d)
+                si2, ti2, d2 = pairs(cand_pts)
                 if len(si2) > 0:
                     start_pts, si, ti, d = cand_pts, si2, ti2, d2
                 else:
                     pre = Pose.identity()
 
     delta, fitness, rmse, iterations_used, converged, history = _register(
-        start_pts, tgt, cfg, si, ti, d
+        start_pts, pairs, cfg, si, ti, d
     )
 
     return IcpResult(

@@ -23,6 +23,18 @@ MIN_MATCHED_KEYPOINTS = 4
 Prediction = tuple[int, np.ndarray]
 
 
+@dataclass
+class KpmConfig:
+    """The `kpm` config section: keypoint oracle noise and quality gate."""
+
+    # NoisyOracleKeypoints settings
+    sigma_m: float = 0.0
+    dropout: float = 0.0
+    snap_radius_m: float = 0.01
+    # filter_keypoints radius
+    quality_radius_m: float = 0.03
+
+
 class KeypointPredictor(Protocol):
     """Finds named model keypoints among the end-effector points.
 
@@ -53,7 +65,7 @@ class NoisyOracleKeypoints:
 
     sigma_m: float = 0.0
     dropout: float = 0.0
-    snap_radius: float = 0.01
+    snap_radius: float = KpmConfig.snap_radius_m
 
     def predict(
         self,
@@ -106,7 +118,7 @@ def predict_keypoints(
 def filter_keypoints(
     predictions: list[Prediction],
     ee_points: np.ndarray,
-    quality_radius: float = 0.03,
+    quality_radius: float = KpmConfig.quality_radius_m,
 ) -> list[Prediction]:
     """Drop predictions farther than quality_radius from every EE point.
 

@@ -6,6 +6,11 @@ prediction + axis-extent translation, and keypoint matching), and
 optional ICP refinement.  Calibration and evaluation both consume the
 FrameEstimate records produced here.
 
+PipelineConfig gathers the stage settings; each stage's section
+dataclass lives next to the stage, and the CLI loads the JSON config
+file straight into them.  resolve_config adapts extent trimming and
+the ICP source resolution to the dataset's noise.
+
 Randomness is reproducible per frame: every frame derives its own
 generator streams from (seed, frame index), so results do not depend
 on processing order or worker count.
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import OutlierConfig, SanityConfig, sanity_check
+from .calibration import CalibrationConfig, sanity_check
 from .errors import (
     DegenerateGeometry,
     EmptyCloud,
@@ -30,11 +35,12 @@ from .errors import (
 )
 from .geometry import LABEL_EE, PointCloud, Pose, compose
 from .icp import IcpConfig, IcpResult, refine_estimates
-from .kpm import NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
-from .rpt import NoisyOracleRotation, rpt_pose
+from .kpm import KpmConfig, NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
+from .rpt import NoisyOracleRotation, RptConfig, rpt_pose
 from .segmentation import (
     GroundTruthSegmenter,
     NoisyOracleSegmenter,
+    SegmentationConfig,
     cluster_filter,
     predict_labels,
 )
@@ -48,24 +54,13 @@ class PipelineConfig:
     """Settings for the full estimation and calibration flow."""
 
     seed: int = 0
-    # oracle predictor noise
-    rotation_sigma_deg: float = 0.0
-    keypoint_sigma_m: float = 0.0
-    keypoint_dropout: float = 0.0
-    keypoint_quality_radius_m: float = 0.03
-    keypoint_snap_radius_m: float = 0.01
-    segmentation_flip_probability: float = 0.0
-    segmentation_speckle_rate: float = 0.0
-    # clustering
-    linkage_distance: float = 0.03
-    min_cluster_fraction: float = 0.2
-    # translation-from-extents robustness
-    rpt_trim_fraction: float = 0.002
-    use_icp: bool = True
+    # worker threads for the per-frame stages
     jobs: int = 1
+    segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
+    rpt: RptConfig = field(default_factory=RptConfig)
+    kpm: KpmConfig = field(default_factory=KpmConfig)
     icp: IcpConfig = field(default_factory=IcpConfig)
-    sanity: SanityConfig = field(default_factory=SanityConfig)
-    outliers: OutlierConfig = field(default_factory=OutlierConfig)
+    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
 
 @dataclass
@@ -102,39 +97,30 @@ def _sensor_noisy(dataset: Dataset) -> bool:
     return float(cam.get("noise_sigma_1m", 0.0)) > 0 or float(cam.get("dropout", 0.0)) > 0
 
 
-def effective_trim_fraction(dataset: Dataset, cfg: PipelineConfig) -> float:
-    """Extent trimming for the translation stage, keyed on noise.
+def resolve_config(dataset: Dataset, cfg: PipelineConfig) -> PipelineConfig:
+    """cfg with extent trimming and ICP source resolution keyed on noise.
 
     Trimming guards the axis extents against stray points.  A dataset
     rendered without sensor noise or dropout, segmented without label
     noise, has none, and trimming is skipped so the extents stay exact.
-    """
-    noisy = (
-        _sensor_noisy(dataset)
-        or cfg.segmentation_flip_probability > 0
-        or cfg.segmentation_speckle_rate > 0
-    )
-    return cfg.rpt_trim_fraction if noisy else 0.0
-
-
-def effective_icp_config(dataset: Dataset, cfg: PipelineConfig) -> IcpConfig:
-    """ICP source resolution keyed on sensor noise.
 
     A noiseless cloud reproduces model surface points exactly, so
     registration against the full-resolution model is both possible and
     required for exactness.  A noisy cloud is noise-limited; the voxel
     thinned source from the config is just as accurate and much faster.
     """
-    if _sensor_noisy(dataset):
-        return cfg.icp
-    return replace(cfg.icp, source_voxel_size=0.0, source_max_points=0)
+    sensor_noisy = _sensor_noisy(dataset)
+    seg, rpt, icp = cfg.segmentation, cfg.rpt, cfg.icp
+    if not (sensor_noisy or seg.flip_probability > 0 or seg.speckle_rate > 0):
+        rpt = replace(rpt, trim_fraction=0.0)
+    if not sensor_noisy:
+        icp = replace(icp, source_voxel_size=0.0, source_max_points=0)
+    return replace(cfg, rpt=rpt, icp=icp)
 
 
-def _build_segmenter(cfg: PipelineConfig):
-    if cfg.segmentation_flip_probability > 0 or cfg.segmentation_speckle_rate > 0:
-        return NoisyOracleSegmenter(
-            cfg.segmentation_flip_probability, cfg.segmentation_speckle_rate
-        )
+def _build_segmenter(cfg: SegmentationConfig):
+    if cfg.flip_probability > 0 or cfg.speckle_rate > 0:
+        return NoisyOracleSegmenter(cfg.flip_probability, cfg.speckle_rate)
     return GroundTruthSegmenter()
 
 
@@ -144,23 +130,15 @@ def estimate_frame(
     model: EEModel,
     cfg: PipelineConfig | None = None,
     gt_calibration: Pose | None = None,
-    *,
-    trim_fraction: float | None = None,
-    icp_cfg: IcpConfig | None = None,
 ) -> FrameEstimate:
     """Run the single-frame estimation flow on one frame.
 
     Frames the flow cannot use (no end-effector points, no valid
     cluster, failed sanity check) come back with a skipped_reason
-    instead of raising.  trim_fraction None falls back to the config
-    value; callers with dataset context should resolve it through
-    effective_trim_fraction.
+    instead of raising.  cfg is used as given; callers with dataset
+    context pass it through resolve_config first.
     """
     cfg = cfg or PipelineConfig()
-    if trim_fraction is None:
-        trim_fraction = cfg.rpt_trim_fraction
-    if icp_cfg is None:
-        icp_cfg = cfg.icp
     out = FrameEstimate(frame_index, frame.config_id, frame.t_b_ee, None)
 
     seg_seq, rot_seq, kp_seq = np.random.SeedSequence([cfg.seed, frame_index]).spawn(3)
@@ -168,8 +146,9 @@ def estimate_frame(
     if gt_calibration is not None:
         true_pose = compose(gt_calibration, frame.t_b_ee)
 
+    seg = cfg.segmentation
     try:
-        labeled = predict_labels(frame.cloud, _build_segmenter(cfg), np.random.default_rng(seg_seq))
+        labeled = predict_labels(frame.cloud, _build_segmenter(seg), np.random.default_rng(seg_seq))
     except (EmptyCloud, MissingGroundTruth) as e:
         out.skipped_reason = f"segmentation failed: {e}"
         return out
@@ -178,13 +157,13 @@ def estimate_frame(
         out.skipped_reason = "segmentation found no end-effector points"
         return out
     try:
-        ee = cluster_filter(ee, cfg.linkage_distance, cfg.min_cluster_fraction)
+        ee = cluster_filter(ee, seg.linkage_distance, seg.min_cluster_fraction)
     except NoValidCluster as e:
         out.skipped_reason = f"cluster filter failed: {e}"
         return out
     out.ee_cloud = ee
 
-    check = sanity_check(ee, cfg.sanity)
+    check = sanity_check(ee, cfg.calibration)
     if not check.passed:
         out.skipped_reason = f"sanity check failed: {check.reason}"
         return out
@@ -192,11 +171,11 @@ def estimate_frame(
     try:
         pose = rpt_pose(
             ee,
-            NoisyOracleRotation(cfg.rotation_sigma_deg),
+            NoisyOracleRotation(cfg.rpt.rotation_sigma_deg),
             model,
             true_pose=true_pose,
             rng=np.random.default_rng(rot_seq),
-            trim_fraction=trim_fraction,
+            trim_fraction=cfg.rpt.trim_fraction,
         )
         out.estimates.append(MethodEstimate("rpt", pose))
     except (TooFewPoints, MissingGroundTruth, DegenerateGeometry) as e:
@@ -204,9 +183,9 @@ def estimate_frame(
 
     try:
         predictor = NoisyOracleKeypoints(
-            sigma_m=cfg.keypoint_sigma_m,
-            dropout=cfg.keypoint_dropout,
-            snap_radius=cfg.keypoint_snap_radius_m,
+            sigma_m=cfg.kpm.sigma_m,
+            dropout=cfg.kpm.dropout,
+            snap_radius=cfg.kpm.snap_radius_m,
         )
         predictions = predict_keypoints(
             ee,
@@ -215,14 +194,14 @@ def estimate_frame(
             true_pose=true_pose,
             rng=np.random.default_rng(kp_seq),
         )
-        kept = filter_keypoints(predictions, ee.points, cfg.keypoint_quality_radius_m)
+        kept = filter_keypoints(predictions, ee.points, cfg.kpm.quality_radius_m)
         out.estimates.append(MethodEstimate("kpm", kpm_pose(kept, model.ref_keypoints)))
     except (TooFewKeypoints, MissingGroundTruth, DegenerateGeometry, EmptyCloud) as e:
         log.info("frame %d: keypoint route unavailable: %s", frame_index, e)
 
-    if cfg.use_icp and out.estimates:
+    if cfg.icp.enabled and out.estimates:
         refined = dict(
-            refine_estimates(ee, [(m.method, m.pose) for m in out.estimates], model, icp_cfg)
+            refine_estimates(ee, [(m.method, m.pose) for m in out.estimates], model, cfg.icp)
         )
         for m in out.estimates:
             res = refined.get(m.method)
@@ -234,16 +213,11 @@ def estimate_frame(
 
 def estimate_frames(dataset: Dataset, cfg: PipelineConfig | None = None) -> list[FrameEstimate]:
     """Estimate every frame of a dataset, optionally with worker threads."""
-    cfg = cfg or PipelineConfig()
-    trim = effective_trim_fraction(dataset, cfg)
-    icp_cfg = effective_icp_config(dataset, cfg)
+    cfg = resolve_config(dataset, cfg or PipelineConfig())
 
     def one(item: tuple[int, Frame]) -> FrameEstimate:
         i, frame = item
-        return estimate_frame(
-            frame, i, dataset.model, cfg, dataset.gt_calibration,
-            trim_fraction=trim, icp_cfg=icp_cfg,
-        )
+        return estimate_frame(frame, i, dataset.model, cfg, dataset.gt_calibration)
 
     items = list(enumerate(dataset.frames))
     if cfg.jobs > 1:

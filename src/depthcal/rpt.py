@@ -27,6 +27,17 @@ from .simulator import AxisRule, EEModel
 MIN_RPT_POINTS = 10
 
 
+@dataclass
+class RptConfig:
+    """The `rpt` config section."""
+
+    # NoisyOracleRotation's angular noise
+    rotation_sigma_deg: float = 0.0
+    # extent trimming of rpt_pose; pipeline.resolve_config zeroes it on
+    # noiseless data
+    trim_fraction: float = 0.002
+
+
 class RotationPredictor(Protocol):
     """Estimates the end-effector rotation in the camera frame.
 

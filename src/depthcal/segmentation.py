@@ -22,6 +22,18 @@ from .errors import EmptyCloud, MissingGroundTruth, NoValidCluster
 from .geometry import LABEL_EE, PointCloud
 
 
+@dataclass
+class SegmentationConfig:
+    """The `segmentation` config section: oracle label noise and clustering."""
+
+    # NoisyOracleSegmenter error rates; both 0 selects the ground-truth labels
+    flip_probability: float = 0.0
+    speckle_rate: float = 0.0
+    # cluster_filter settings
+    linkage_distance: float = 0.03
+    min_cluster_fraction: float = 0.2
+
+
 @runtime_checkable
 class SegmentationPredictor(Protocol):
     def predict(self, cloud: PointCloud, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -73,9 +85,16 @@ def predict_labels(
     predictor: SegmentationPredictor,
     rng: np.random.Generator | None = None,
 ) -> PointCloud:
-    """Run a predictor and attach its labels to the cloud."""
+    """Run a predictor and attach its labels to the cloud.
+
+    Points with a non-finite coordinate (sensor holes read as NaN) are
+    dropped first; labels and keypoint ids stay aligned with the rest.
+    """
+    finite = np.isfinite(cloud.points).all(axis=1)
+    if not finite.all():
+        cloud = cloud.subset(finite)
     if len(cloud) == 0:
-        raise EmptyCloud("cannot segment an empty cloud")
+        raise EmptyCloud("cannot segment a cloud with no finite points")
     labels = np.asarray(predictor.predict(cloud, rng), dtype=np.int64)
     if labels.shape != (len(cloud),):
         raise ValueError("predictor returned a label vector of the wrong length")
@@ -93,8 +112,8 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     radius (the cell diagonal equals the radius), so point components
     equal components of the voxel graph.  Two voxels connect iff their
     point sets come within radius; candidate pairs are screened with
-    bounding-box distance bounds and only the survivors pay for an exact
-    minimum-distance check.
+    bounding-box distance bounds, and the survivors are settled by
+    nearest-neighbour queries against one KD-tree per voxel.
     """
     n = len(points)
     cell = radius / math.sqrt(3.0)
@@ -106,46 +125,66 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     if nv == 1:
         return np.zeros(n, dtype=np.int64)
 
+    # points grouped by voxel: voxel v holds grouped[start[v] : start[v + 1]]
     order = np.argsort(inv, kind="stable")
-    bounds = np.searchsorted(inv[order], np.arange(nv + 1))
-    buckets = [order[bounds[i] : bounds[i + 1]] for i in range(nv)]
-    mins = np.array([points[b].min(axis=0) for b in buckets])
-    maxs = np.array([points[b].max(axis=0) for b in buckets])
+    grouped = points[order]
+    start = np.searchsorted(inv[order], np.arange(nv + 1))
+    mins = np.minimum.reduceat(grouped, start[:-1], axis=0)
+    maxs = np.maximum.reduceat(grouped, start[:-1], axis=0)
     centers = 0.5 * (mins + maxs)
 
     # A connecting point pair bounds the center distance of its voxels.
     reach = radius + cell * math.sqrt(3.0) + 1e-12
     pairs = cKDTree(centers).query_pairs(reach, output_type="ndarray")
     r2 = radius * radius
-    rows: list[int] = []
-    cols: list[int] = []
-    if len(pairs):
-        a, b = pairs[:, 0], pairs[:, 1]
-        gap = np.maximum(0.0, np.maximum(mins[a] - maxs[b], mins[b] - maxs[a]))
-        lower2 = (gap * gap).sum(axis=1)
-        span = np.maximum(maxs[a], maxs[b]) - np.minimum(mins[a], mins[b])
-        upper2 = (span * span).sum(axis=1)
-        sure = lower2 <= r2
-        direct = sure & (upper2 <= r2)
-        rows.extend(a[direct].tolist())
-        cols.extend(b[direct].tolist())
-        for i in np.flatnonzero(sure & ~direct):
-            pa = points[buckets[a[i]]]
-            pb = points[buckets[b[i]]]
-            d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-            if d2.min() <= r2:
-                rows.append(int(a[i]))
-                cols.append(int(b[i]))
+    a, b = pairs[:, 0], pairs[:, 1]
+    gap = np.maximum(0.0, np.maximum(mins[a] - maxs[b], mins[b] - maxs[a]))
+    lower2 = (gap * gap).sum(axis=1)
+    span = np.maximum(maxs[a], maxs[b]) - np.minimum(mins[a], mins[b])
+    upper2 = (span * span).sum(axis=1)
+    maybe = lower2 <= r2
+    linked = maybe & (upper2 <= r2)
+    unsure = np.flatnonzero(maybe & ~linked)
+    if len(unsure):
+        linked[unsure] = _voxels_within(grouped, start, a[unsure], b[unsure], radius)
 
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv))
+    graph = coo_matrix((np.ones(linked.sum()), (a[linked], b[linked])), shape=(nv, nv))
     _, vlabels = _sparse_components(graph, directed=False)
     return vlabels[inv]
 
 
+def _voxels_within(
+    grouped: np.ndarray, start: np.ndarray, a: np.ndarray, b: np.ndarray, radius: float
+) -> np.ndarray:
+    """For each voxel pair (a[k], b[k]): does some point pair lie within radius?
+
+    All points of the a-voxels paired with one b-voxel are queried against
+    that voxel's KD-tree at once.  The nearest hit is confirmed with the
+    squared-distance test `<= radius**2`, so pairs at exactly the radius
+    link as they do in the brute-force definition.
+    """
+    r2 = radius * radius
+    count = np.diff(start)
+    out = np.zeros(len(a), dtype=bool)
+    for v in np.unique(b):
+        ks = np.flatnonzero(b == v)
+        lengths = count[a[ks]]
+        # concatenated point ranges of the partner voxels
+        offsets = np.repeat(start[a[ks]] - np.cumsum(lengths) + lengths, lengths)
+        query = grouped[offsets + np.arange(lengths.sum())]
+        target = grouped[start[v] : start[v + 1]]
+        d, j = cKDTree(target).query(query, distance_upper_bound=radius * (1 + 1e-9))
+        hit = np.isfinite(d)
+        within = np.zeros(len(query), dtype=bool)
+        within[hit] = ((query[hit] - target[j[hit]]) ** 2).sum(axis=1) <= r2
+        out[ks] = np.logical_or.reduceat(within, np.cumsum(lengths) - lengths)
+    return out
+
+
 def cluster_filter(
     ee_points: PointCloud,
-    linkage_distance: float = 0.03,
-    min_cluster_fraction: float = 0.2,
+    linkage_distance: float = SegmentationConfig.linkage_distance,
+    min_cluster_fraction: float = SegmentationConfig.min_cluster_fraction,
 ) -> PointCloud:
     """Keep the largest spatial cluster of the predicted EE points.
 

@@ -650,22 +650,36 @@ _DEFAULT_EE_IN_CAMERA = [
 ]
 
 
-def default_scenario(
-    seed: int = 0,
-    *,
-    noise_sigma_1m: float = 0.0,
-    noise_exponent: float = 2.0,
-    dropout: float = 0.0,
-    frames_per_config: int = 10,
-    occlusion: HalfspaceCut | None = None,
-    with_background: bool = True,
-) -> Scenario:
+@dataclass
+class SimulatorConfig:
+    """The `simulator` config section: the settings of default_scenario."""
+
+    noise_sigma_1m: float = 0.0
+    noise_exponent: float = 2.0
+    dropout: float = 0.0
+    frames_per_config: int = 10
+    with_background: bool = True
+    # a HalfspaceCut, or its dict {"axis": 0|1|2, "threshold": meters,
+    # "remove_above": bool}
+    occlusion: HalfspaceCut | None = None
+
+    def __post_init__(self):
+        if self.occlusion is not None and not isinstance(self.occlusion, HalfspaceCut):
+            try:
+                self.occlusion = HalfspaceCut.from_dict(self.occlusion)
+            except KeyError as e:
+                raise ValueError(f"occlusion needs the key {e}") from e
+
+
+def default_scenario(seed: int = 0, **settings) -> Scenario:
     """Six arm configurations seen by a fixed camera over a table.
 
-    The end-effector poses are authored in the camera frame (so every
-    configuration is visible and camera-facing) and converted to
-    base-to-EE transforms through the ground-truth calibration.
+    settings are SimulatorConfig's fields.  The end-effector poses are
+    authored in the camera frame (so every configuration is visible and
+    camera-facing) and converted to base-to-EE transforms through the
+    ground-truth calibration.
     """
+    sim = SimulatorConfig(**settings)
     cam_in_base = look_at(eye=(1.25, 0.15, 0.70), target=(0.35, 0.0, 0.35))
     gt_calibration = invert(cam_in_base)
 
@@ -675,7 +689,7 @@ def default_scenario(
         configs.append(RobotConfig(i, compose(cam_in_base, t_c_ee)))
 
     background = []
-    if with_background:
+    if sim.with_background:
         background = [
             # Table top under the workspace.
             BackgroundPlane(
@@ -692,14 +706,14 @@ def default_scenario(
         ]
 
     camera = CameraModel(
-        noise_sigma_1m=noise_sigma_1m, noise_exponent=noise_exponent, dropout=dropout
+        noise_sigma_1m=sim.noise_sigma_1m, noise_exponent=sim.noise_exponent, dropout=sim.dropout
     )
     return Scenario(
         gt_calibration=gt_calibration,
         robot_configs=configs,
-        frames_per_config=frames_per_config,
+        frames_per_config=sim.frames_per_config,
         camera=camera,
         background=background,
-        occlusion=occlusion,
+        occlusion=sim.occlusion,
         seed=seed,
     )

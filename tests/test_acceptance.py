@@ -46,8 +46,9 @@ from depthcal.geometry import (
     rotation_distance,
 )
 from depthcal.calibration import mad_outlier_mask
+from depthcal.kpm import KpmConfig
 from depthcal.pipeline import PipelineConfig, estimate_frames
-from depthcal.rpt import rotate_back, rpt_translation
+from depthcal.rpt import RptConfig, rotate_back, rpt_translation
 from depthcal.simulator import (
     EEModelParams,
     HalfspaceCut,
@@ -84,7 +85,7 @@ def zero_noise_run():
     cfg = PipelineConfig(seed=0)
     t0 = time.perf_counter()
     estimates = estimate_frames(dataset, cfg)
-    result = calibration_from_estimates(estimates, cfg.outliers, cfg.use_icp)
+    result = calibration_from_estimates(estimates, cfg.calibration, cfg.icp.enabled)
     elapsed = time.perf_counter() - t0
     return dataset, estimates, result, elapsed
 
@@ -104,12 +105,11 @@ def noisy_sweep():
         )
         cfg = PipelineConfig(
             seed=seed,
-            rotation_sigma_deg=5.0,
-            keypoint_sigma_m=0.005,
-            keypoint_dropout=0.1,
+            rpt=RptConfig(rotation_sigma_deg=5.0),
+            kpm=KpmConfig(sigma_m=0.005, dropout=0.1),
         )
         estimates = estimate_frames(dataset, cfg)
-        result = calibration_from_estimates(estimates, cfg.outliers, cfg.use_icp)
+        result = calibration_from_estimates(estimates, cfg.calibration, cfg.icp.enabled)
         data.per_seed.append(
             (
                 translation_error(dataset.gt_calibration, result.calibration),

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_pose_close, random_pose
 from depthcal.calibration import (
-    OutlierConfig,
-    SanityConfig,
+    CalibrationConfig,
     aggregate,
     calibrate,
     frame_calibration,
@@ -27,6 +26,7 @@ from depthcal.geometry import (
     compose,
     invert,
 )
+from depthcal.icp import IcpConfig
 from depthcal.pipeline import PipelineConfig, estimate_frames
 from depthcal.simulator import default_scenario, generate_dataset
 
@@ -60,7 +60,7 @@ class TestMadOutlierMask:
 
     def test_threshold_configurable(self):
         values = [0.0, 0.1, -0.1, 0.05, 50.0]
-        lax = OutlierConfig(modified_zscore_threshold=700.0)
+        lax = CalibrationConfig(modified_zscore_threshold=700.0)
         assert not mad_outlier_mask(values, lax).any()
 
     def test_idempotent_on_survivors(self):
@@ -74,9 +74,9 @@ class TestMadOutlierMask:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            OutlierConfig(modified_zscore_threshold=0.0)
+            CalibrationConfig(modified_zscore_threshold=0.0)
         with pytest.raises(ConfigError):
-            OutlierConfig(mad_zero_epsilon=-1.0)
+            CalibrationConfig(mad_zero_epsilon=-1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -202,14 +202,14 @@ class TestAggregate:
         poses = [Pose(Quaternion.identity(), np.zeros(3)) for _ in range(5)]
         poses.append(Pose(Quaternion.identity(), np.array([5.0, 0.0, 0.0])))
         strict = aggregate(poses)
-        loose = aggregate(poses, OutlierConfig(translation_outlier_mode="intersect"))
+        loose = aggregate(poses, CalibrationConfig(translation_outlier_mode="intersect"))
         assert (strict.used, strict.outliers_removed) == (5, 1)
         assert (loose.used, loose.outliers_removed) == (6, 0)
         assert loose.pose.translation[0] == pytest.approx(5.0 / 6.0)
 
     def test_translation_outlier_mode_validated(self):
         with pytest.raises(ConfigError):
-            OutlierConfig(translation_outlier_mode="sometimes")
+            CalibrationConfig(translation_outlier_mode="sometimes")
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -274,9 +274,9 @@ class TestSanityCheck:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SanityConfig(min_ee_points=0)
+            CalibrationConfig(min_ee_points=0)
         with pytest.raises(ConfigError):
-            SanityConfig(min_bbox_diagonal=-0.1)
+            CalibrationConfig(min_bbox_diagonal=-0.1)
 
 
 class TestCalibrate:
@@ -295,7 +295,7 @@ class TestCalibrate:
 
     def test_without_icp_still_exact_at_zero_noise(self, noiseless_dataset):
         ds = noiseless_dataset
-        res = calibrate(ds, PipelineConfig(use_icp=False))
+        res = calibrate(ds, PipelineConfig(icp=IcpConfig(enabled=False)))
         assert not res.icp_enabled
         assert_pose_close(
             res.calibration, ds.gt_calibration, atol_t=1e-4, atol_r=math.radians(0.01)
@@ -312,8 +312,8 @@ class TestCalibrate:
         flat = []
         for fe in estimate_frames(ds, cfg):
             for m in fe.estimates:
-                flat.append(frame_calibration(m.chosen_pose(cfg.use_icp), fe.t_b_ee))
-        expected = aggregate(flat, cfg.outliers)
+                flat.append(frame_calibration(m.chosen_pose(cfg.icp.enabled), fe.t_b_ee))
+        expected = aggregate(flat, cfg.calibration)
         assert_pose_close(res.calibration, expected.pose, atol_t=1e-12, atol_r=1e-12)
         assert res.groups[0].samples_used == expected.used
 
@@ -329,7 +329,7 @@ class TestCalibrate:
         configs = list(scn.robot_configs)
         configs[3] = dataclasses.replace(configs[3], t_b_ee=sliver)
         ds = generate_dataset(dataclasses.replace(scn, robot_configs=configs))
-        cfg = PipelineConfig(sanity=SanityConfig(min_ee_points=2000))
+        cfg = PipelineConfig(calibration=CalibrationConfig(min_ee_points=2000))
         res = calibrate(ds, cfg)
         assert [g.config_id for g in res.groups] == [0, 1, 2, 4, 5]
         assert res.rejected_frames == 1
@@ -338,6 +338,6 @@ class TestCalibrate:
         )
 
     def test_every_frame_rejected_raises(self, noiseless_dataset):
-        strict = PipelineConfig(sanity=SanityConfig(min_ee_points=10**6))
+        strict = PipelineConfig(calibration=CalibrationConfig(min_ee_points=10**6))
         with pytest.raises(NoUsableFrames):
             calibrate(noiseless_dataset, strict)

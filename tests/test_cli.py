@@ -1,12 +1,25 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from depthcal.cli import DEFAULT_CONFIG, load_config, main, merge_config
+from depthcal.cli import CliConfig, from_dict, load_config, main
+from depthcal.dataset_io import read_ply, write_ply
 from depthcal.errors import ConfigError
+from depthcal.geometry import LABEL_EE, PointCloud
+
+
+def copy_dataset(src, dst, edit_manifest=None):
+    shutil.copytree(src, dst)
+    if edit_manifest is not None:
+        manifest = json.loads((dst / "manifest.json").read_text())
+        edit_manifest(manifest)
+        (dst / "manifest.json").write_text(json.dumps(manifest))
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -31,42 +44,54 @@ def dataset_dir(workdir, small_config):
 @pytest.fixture(scope="module")
 def blind_dataset_dir(workdir, dataset_dir):
     # same dataset with the ground-truth calibration stripped out
-    out = workdir / "ds_blind"
-    shutil.copytree(dataset_dir, out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["gt_calibration"] = None
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    return out
+    return copy_dataset(
+        dataset_dir, workdir / "ds_blind", lambda m: m.update(gt_calibration=None)
+    )
 
 
 class TestConfigHandling:
     def test_defaults_returned_without_file(self):
         cfg = load_config(None)
-        assert cfg == DEFAULT_CONFIG
-        cfg["icp"]["enabled"] = False
-        assert DEFAULT_CONFIG["icp"]["enabled"] is True
+        assert cfg == CliConfig()
+        cfg.icp.enabled = False
+        assert load_config(None).icp.enabled is True
+        assert CliConfig().icp.enabled is True
 
     def test_partial_overlay_keeps_other_defaults(self):
-        cfg = merge_config(DEFAULT_CONFIG, {"icp": {"max_iterations": 7}})
-        assert cfg["icp"]["max_iterations"] == 7
-        assert cfg["icp"]["source_voxel_size"] == 0.005
-        assert cfg["seed"] == 0
+        cfg = from_dict(CliConfig, {"icp": {"max_iterations": 7}})
+        assert cfg.icp.max_iterations == 7
+        assert cfg.icp.source_voxel_size == 0.005
+        assert cfg.seed == 0
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="icp.bogus_knob"):
-            merge_config(DEFAULT_CONFIG, {"icp": {"bogus_knob": 1}})
+            from_dict(CliConfig, {"icp": {"bogus_knob": 1}})
         with pytest.raises(ConfigError, match="nonsense"):
-            merge_config(DEFAULT_CONFIG, {"nonsense": 1})
+            from_dict(CliConfig, {"nonsense": 1})
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="icp"):
-            merge_config(DEFAULT_CONFIG, {"icp": 5})
+            from_dict(CliConfig, {"icp": 5})
 
     def test_invalid_json_rejected(self, workdir):
         path = workdir / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_every_key_at_its_default_loads_back_equal(self, workdir):
+        # a file naming every key guards the sections against drifting
+        # from the dataclasses they are loaded into
+        path = workdir / "all_defaults.json"
+        path.write_text(json.dumps(dataclasses.asdict(CliConfig())))
+        assert load_config(str(path)) == CliConfig()
+
+    def test_labeling_section_rejected_exit_2(self, workdir, capsys):
+        path = workdir / "labeling.json"
+        path.write_text(json.dumps({"labeling": {"background_match_radius": 0.005}}))
+        code = main(["simulate", "--config", str(path), "--output", str(workdir / "no")])
+        assert code == 2
+        assert "labeling" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -157,6 +182,23 @@ class TestEstimate:
         assert main(["estimate", str(dataset_dir), "--frame", "99"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_nan_point_changes_nothing(self, workdir, dataset_dir):
+        ds = copy_dataset(dataset_dir, workdir / "ds_nan")
+        ply = ds / "frame_00000.ply"
+        cloud = read_ply(ply)
+        write_ply(
+            ply,
+            PointCloud(
+                np.vstack([cloud.points, np.full((1, 3), np.nan)]),
+                labels=np.append(cloud.labels, LABEL_EE),
+                keypoint_ids=np.append(cloud.keypoint_ids, -1),
+            ),
+        )
+        clean, nan = workdir / "est_clean.json", workdir / "est_nan.json"
+        assert main(["estimate", str(ds), "--frame", "0", "--output", str(nan)]) == 0
+        assert main(["estimate", str(dataset_dir), "--frame", "0", "--output", str(clean)]) == 0
+        assert nan.read_bytes() == clean.read_bytes()
+
     def test_sanity_failure_exit_5(self, workdir, dataset_dir, capsys):
         strict = workdir / "strict.json"
         strict.write_text(json.dumps({"calibration": {"min_ee_points": 1000000}}))
@@ -165,6 +207,23 @@ class TestEstimate:
         )
         assert code == 5
         assert "sanity" in capsys.readouterr().err
+
+
+class TestMalformedManifest:
+    def test_frame_without_t_b_ee_exit_3(self, workdir, dataset_dir, capsys):
+        ds = copy_dataset(
+            dataset_dir, workdir / "ds_no_tbee", lambda m: m["frames"][0].pop("t_b_ee")
+        )
+        assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "t_b_ee" in err
+
+    def test_scalar_ee_body_exit_3(self, workdir, dataset_dir, capsys):
+        ds = copy_dataset(
+            dataset_dir, workdir / "ds_bad_body", lambda m: m["ee_model"].update(body=-1.0)
+        )
+        assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        assert "manifest.json" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -18,6 +18,7 @@ from depthcal.evaluation import (
     translation_error,
 )
 from depthcal.geometry import PointCloud, Pose, Quaternion, compose
+from depthcal.icp import IcpConfig
 from depthcal.pipeline import PipelineConfig
 from depthcal.simulator import build_ee_model, default_scenario, generate_dataset
 
@@ -154,7 +155,7 @@ class TestEvaluateDataset:
         assert set(noiseless_report.calibration) == {"with_icp", "without_icp"}
 
     def test_without_icp_only_raw_rows(self, noiseless_dataset):
-        rep = evaluate_dataset(noiseless_dataset, PipelineConfig(use_icp=False))
+        rep = evaluate_dataset(noiseless_dataset, PipelineConfig(icp=IcpConfig(enabled=False)))
         assert [(r.method, r.refined) for r in rep.rows] == [
             ("kpm", False),
             ("rpt", False),

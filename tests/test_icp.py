@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import assert_pose_close
 from depthcal.errors import ConfigError, NoCorrespondences, TooFewPoints
@@ -15,7 +16,13 @@ from depthcal.geometry import (
     compose,
     rotation_distance,
 )
-from depthcal.icp import IcpConfig, icp_refine, refine_estimates, voxel_downsample
+from depthcal.icp import (
+    IcpConfig,
+    _NearestSource,
+    icp_refine,
+    refine_estimates,
+    voxel_downsample,
+)
 from depthcal.kpm import NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
 from depthcal.rpt import NoisyOracleRotation, rpt_pose
 from depthcal.simulator import default_scenario, generate_dataset
@@ -133,6 +140,34 @@ class TestIcpRefine:
         res = icp_refine(source, ee_subset(frame.cloud), gt)
         assert 0.0 < res.fitness <= 1.0
         assert res.inlier_rmse >= 0.0
+
+
+class TestNearestSource:
+    def test_every_call_matches_a_fresh_gated_search(self):
+        # shrinking rigid steps, as in an ICP run, on a source with
+        # duplicate points (exact ties) and targets partly beyond the gate
+        rng = np.random.default_rng(7)
+        src = rng.uniform(-0.05, 0.05, size=(400, 3))
+        src = np.vstack([src, src[:40]])
+        tgt = np.vstack(
+            [src[::3] + rng.normal(scale=0.002, size=(147, 3)), src[:40],
+             rng.uniform(-0.2, 0.2, size=(60, 3))]
+        )
+        pairs = _NearestSource(tgt, 0.02)
+        placed = src
+        for step in range(12):
+            scale = 0.5**step
+            pose = Pose(
+                Quaternion.from_axis_angle(rng.normal(size=3), 0.05 * scale),
+                rng.normal(scale=0.005 * scale, size=3),
+            )
+            placed = pose.apply(placed)
+            si, ti, d = pairs(placed)
+            dd, ii = cKDTree(placed).query(tgt, distance_upper_bound=0.02)
+            j = np.flatnonzero(np.isfinite(dd))
+            np.testing.assert_array_equal(ti, j)
+            np.testing.assert_array_equal(si, ii[j])
+            np.testing.assert_array_equal(d, dd[j])
 
 
 class TestIcpConfig:

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import assert_pose_close
-from depthcal.geometry import LABEL_BACKGROUND, PointCloud, Pose, compose
-from depthcal.calibration import SanityConfig
+from depthcal.geometry import LABEL_BACKGROUND, LABEL_EE, PointCloud, Pose, compose
+from depthcal.calibration import CalibrationConfig
+from depthcal.kpm import KpmConfig
 from depthcal.pipeline import (
     FrameEstimate,
     MethodEstimate,
     PipelineConfig,
-    effective_icp_config,
-    effective_trim_fraction,
     estimate_frame,
     estimate_frames,
+    resolve_config,
 )
+from depthcal.rpt import RptConfig
+from depthcal.segmentation import SegmentationConfig
 from depthcal.simulator import Frame, default_scenario, generate_dataset
 
 
@@ -35,7 +37,7 @@ def noisy_dataset():
 @pytest.fixture(scope="module")
 def noisy_cfg():
     return PipelineConfig(
-        seed=2, rotation_sigma_deg=5.0, keypoint_sigma_m=0.005, keypoint_dropout=0.1
+        seed=2, rpt=RptConfig(rotation_sigma_deg=5.0), kpm=KpmConfig(sigma_m=0.005, dropout=0.1)
     )
 
 
@@ -116,12 +118,37 @@ class TestSkipPaths:
 
     def test_sanity_rejection(self, noiseless_dataset):
         ds = noiseless_dataset
-        cfg = PipelineConfig(sanity=SanityConfig(min_ee_points=10**6))
+        cfg = PipelineConfig(calibration=CalibrationConfig(min_ee_points=10**6))
         fe = estimate_frame(ds.frames[0], 0, ds.model, cfg, ds.gt_calibration)
         assert not fe.usable
         assert "sanity check failed" in fe.skipped_reason
         assert fe.ee_cloud is not None
         assert fe.estimates == []
+
+
+class TestNonFinitePoints:
+    def test_nan_row_changes_nothing(self, noiseless_dataset):
+        ds = noiseless_dataset
+        frame = ds.frames[0]
+        c = frame.cloud
+        spoiled = PointCloud(
+            np.vstack([c.points, np.full((1, 3), np.nan)]),
+            labels=np.append(c.labels, LABEL_EE),
+            keypoint_ids=np.append(c.keypoint_ids, -1),
+        )
+        cfg = resolve_config(ds, PipelineConfig())
+        clean = estimate_frame(frame, 0, ds.model, cfg, ds.gt_calibration)
+        nan = estimate_frame(
+            dataclasses.replace(frame, cloud=spoiled), 0, ds.model, cfg, ds.gt_calibration
+        )
+        assert clean.usable
+        assert frame_estimates_equal(nan, clean)
+
+    def test_all_nan_frame_skipped_at_segmentation(self, noiseless_dataset):
+        cloud = PointCloud(np.full((50, 3), np.nan), labels=np.full(50, LABEL_EE))
+        frame = Frame(cloud, config_id=0, t_b_ee=Pose.identity())
+        fe = estimate_frame(frame, 0, noiseless_dataset.model)
+        assert fe.skipped_reason.startswith("segmentation failed")
 
 
 class TestDeterminism:
@@ -144,13 +171,7 @@ class TestDeterminism:
         # proving the rng streams derive from (seed, frame index) alone
         ds = noisy_dataset
         alone = estimate_frame(
-            ds.frames[5],
-            5,
-            ds.model,
-            noisy_cfg,
-            ds.gt_calibration,
-            trim_fraction=effective_trim_fraction(ds, noisy_cfg),
-            icp_cfg=effective_icp_config(ds, noisy_cfg),
+            ds.frames[5], 5, ds.model, resolve_config(ds, noisy_cfg), ds.gt_calibration
         )
         assert frame_estimates_equal(alone, noisy_estimates[5])
 
@@ -158,13 +179,7 @@ class TestDeterminism:
         ds = noisy_dataset
         other_cfg = dataclasses.replace(noisy_cfg, seed=3)
         other = estimate_frame(
-            ds.frames[5],
-            5,
-            ds.model,
-            other_cfg,
-            ds.gt_calibration,
-            trim_fraction=effective_trim_fraction(ds, other_cfg),
-            icp_cfg=effective_icp_config(ds, other_cfg),
+            ds.frames[5], 5, ds.model, resolve_config(ds, other_cfg), ds.gt_calibration
         )
         base = noisy_estimates[5]
         assert not poses_equal(other.estimates[0].pose, base.estimates[0].pose)
@@ -194,20 +209,17 @@ class TestNoisyRun:
 class TestAdaptiveSettings:
     def test_trim_only_when_noisy(self, noiseless_dataset, noisy_dataset):
         cfg = PipelineConfig()
-        assert effective_trim_fraction(noiseless_dataset, cfg) == 0.0
-        assert effective_trim_fraction(noisy_dataset, cfg) == cfg.rpt_trim_fraction
-        speckled = dataclasses.replace(cfg, segmentation_speckle_rate=0.01)
-        assert (
-            effective_trim_fraction(noiseless_dataset, speckled)
-            == speckled.rpt_trim_fraction
-        )
+        assert resolve_config(noiseless_dataset, cfg).rpt.trim_fraction == 0.0
+        assert resolve_config(noisy_dataset, cfg).rpt == cfg.rpt
+        speckled = dataclasses.replace(cfg, segmentation=SegmentationConfig(speckle_rate=0.01))
+        assert resolve_config(noiseless_dataset, speckled).rpt == speckled.rpt
 
     def test_icp_source_resolution_keyed_on_sensor_noise(
         self, noiseless_dataset, noisy_dataset
     ):
         cfg = PipelineConfig()
-        exact = effective_icp_config(noiseless_dataset, cfg)
+        exact = resolve_config(noiseless_dataset, cfg).icp
         assert exact.source_voxel_size == 0.0
         assert exact.source_max_points == 0
         assert exact.max_correspondence_distance == cfg.icp.max_correspondence_distance
-        assert effective_icp_config(noisy_dataset, cfg) == cfg.icp
+        assert resolve_config(noisy_dataset, cfg).icp == cfg.icp

@@ -54,6 +54,23 @@ class TestPredictors:
         with pytest.raises(EmptyCloud):
             predict_labels(PointCloud(np.zeros((0, 3))), GroundTruthSegmenter())
 
+    def test_non_finite_rows_dropped_with_their_labels(self):
+        cloud = labeled_cloud(n=6, seed=6)
+        points = cloud.points.copy()
+        points[1, 0] = np.nan
+        points[4, 2] = np.inf
+        ids = np.array([-1, 0, -1, 1, 2, -1])
+        out = predict_labels(
+            PointCloud(points, labels=cloud.labels, keypoint_ids=ids), GroundTruthSegmenter()
+        )
+        keep = [0, 2, 3, 5]
+        assert np.array_equal(out.points, cloud.points[keep])
+        assert np.array_equal(out.labels, cloud.labels[keep])
+        assert np.array_equal(out.keypoint_ids, ids[keep])
+        with pytest.raises(EmptyCloud):
+            predict_labels(PointCloud(np.full((3, 3), np.nan), labels=np.zeros(3)),
+                           GroundTruthSegmenter())
+
 
 def brute_components(points, radius):
     n = len(points)
@@ -96,6 +113,20 @@ class TestRadiusComponents:
         pts = np.column_stack([np.arange(20) * 0.0299, np.zeros(20), np.zeros(20)])
         comp = _radius_components(pts, 0.03)
         assert len(np.unique(comp)) == 1
+
+    @pytest.mark.parametrize("bridge_x, parts", [(0.05, 1), (0.105, 2)])
+    def test_voxel_pair_settled_by_point_distance(self, bridge_x, parts):
+        # two dense lines 31 mm apart; one extra point of the upper line
+        # sits 29.9 mm above the lower line's span, which links them, or
+        # beyond its end, 30.3 mm from it, which does not.  Both voxel
+        # pairs pass the bounding-box screen undecided.
+        x = np.arange(101) * 0.001
+        lower = np.column_stack([x, np.zeros(101), np.zeros(101)])
+        upper = np.column_stack([x, np.full(101, 0.031), np.zeros(101)])
+        pts = np.vstack([lower, upper, [[bridge_x, 0.0299, 0.0]]])
+        comp = _radius_components(pts, 0.03)
+        assert len(np.unique(comp)) == parts
+        assert len(np.unique(brute_components(pts, 0.03))) == parts
 
 
 class TestClusterFilter:
