@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DatasetError, InvalidDimensions
 from .geometry import PointCloud, Pose
-from .simulator import Dataset, Frame, build_ee_model_from_params
+from .simulator import Dataset, EEModelParams, Frame, build_ee_model
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_TAG = "depthcal-dataset-v1"
@@ -84,7 +84,10 @@ def read_ply(path: Path | str) -> PointCloud:
             break
     if n is None or body_at is None:
         raise DatasetError(f"{path} has a malformed PLY header")
-    data = np.loadtxt(lines[body_at : body_at + n], dtype=float, ndmin=2)
+    try:
+        data = np.loadtxt(lines[body_at : body_at + n], dtype=float, ndmin=2)
+    except ValueError as e:
+        raise DatasetError(f"{path} has malformed vertex data: {e}") from e
     if len(data) != n or data.shape[1] != 5:
         raise DatasetError(f"{path} vertex data does not match its header")
     return PointCloud(
@@ -127,9 +130,11 @@ def load_dataset(directory: Path | str) -> Dataset:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DatasetError(f"cannot parse {manifest_path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{manifest_path} is not a JSON object")
     if manifest.get("format") != FORMAT_TAG:
         raise DatasetError(f"{manifest_path} has unknown format tag {manifest.get('format')!r}")
-    if manifest.get("ee_model") is None:
+    if not isinstance(manifest.get("ee_model"), dict):
         raise DatasetError(f"{manifest_path} is missing the end-effector model parameters")
 
     try:
@@ -139,7 +144,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         ]
         gt = manifest.get("gt_calibration")
         gt_calibration = None if gt is None else Pose.from_dict(gt)
-        model = build_ee_model_from_params(manifest["ee_model"])
+        model = build_ee_model(EEModelParams.from_dict(manifest["ee_model"]))
     except (KeyError, TypeError, ValueError, InvalidDimensions) as e:
         raise DatasetError(f"{manifest_path} is malformed: {type(e).__name__}: {e}") from e
     return Dataset(

@@ -19,6 +19,7 @@ on processing order or worker count.
 from __future__ import annotations
 
 import logging
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .calibration import CalibrationConfig, sanity_check
 from .errors import (
+    ConfigError,
     DegenerateGeometry,
     EmptyCloud,
     MissingGroundTruth,
@@ -38,7 +40,6 @@ from .icp import IcpConfig, IcpResult, refine_estimates
 from .kpm import KpmConfig, NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
 from .rpt import NoisyOracleRotation, RptConfig, rpt_pose
 from .segmentation import (
-    GroundTruthSegmenter,
     NoisyOracleSegmenter,
     SegmentationConfig,
     cluster_filter,
@@ -61,6 +62,12 @@ class PipelineConfig:
     kpm: KpmConfig = field(default_factory=KpmConfig)
     icp: IcpConfig = field(default_factory=IcpConfig)
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
+
+    def __post_init__(self):
+        for name, low in (("seed", 0), ("jobs", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -118,12 +125,6 @@ def resolve_config(dataset: Dataset, cfg: PipelineConfig) -> PipelineConfig:
     return replace(cfg, rpt=rpt, icp=icp)
 
 
-def _build_segmenter(cfg: SegmentationConfig):
-    if cfg.flip_probability > 0 or cfg.speckle_rate > 0:
-        return NoisyOracleSegmenter(cfg.flip_probability, cfg.speckle_rate)
-    return GroundTruthSegmenter()
-
-
 def estimate_frame(
     frame: Frame,
     frame_index: int,
@@ -147,8 +148,9 @@ def estimate_frame(
         true_pose = compose(gt_calibration, frame.t_b_ee)
 
     seg = cfg.segmentation
+    segmenter = NoisyOracleSegmenter(seg.flip_probability, seg.speckle_rate)
     try:
-        labeled = predict_labels(frame.cloud, _build_segmenter(seg), np.random.default_rng(seg_seq))
+        labeled = predict_labels(frame.cloud, segmenter, np.random.default_rng(seg_seq))
     except (EmptyCloud, MissingGroundTruth) as e:
         out.skipped_reason = f"segmentation failed: {e}"
         return out

@@ -1,10 +1,10 @@
 """Point cloud segmentation interface and spatial cluster filtering.
 
 A SegmentationPredictor stands where a learned per-point classifier would
-sit in a deployed system.  The shipped implementations are simulator
-oracles: one returns ground-truth labels, one corrupts them with label
-flips and false-positive speckle so the downstream robustness can be
-tested.  Both run through the identical pipeline code path.
+sit in a deployed system.  The shipped implementation is a simulator
+oracle that corrupts the ground-truth labels with label flips and
+false-positive speckle so the downstream robustness can be tested; at
+zero rates it returns them unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloud, MissingGroundTruth, NoValidCluster
+from .errors import ConfigError, EmptyCloud, MissingGroundTruth, NoValidCluster
 from .geometry import LABEL_EE, PointCloud
 
 
@@ -33,21 +33,18 @@ class SegmentationConfig:
     linkage_distance: float = 0.03
     min_cluster_fraction: float = 0.2
 
+    def __post_init__(self):
+        if not self.linkage_distance > 0:
+            raise ConfigError("linkage_distance must be positive")
+        if not 0.0 <= self.min_cluster_fraction <= 1.0:
+            raise ConfigError("min_cluster_fraction must be in [0, 1]")
+
 
 @runtime_checkable
 class SegmentationPredictor(Protocol):
     def predict(self, cloud: PointCloud, rng: np.random.Generator | None = None) -> np.ndarray:
         """Per-point class labels in {0 background, 1 arm, 2 end-effector}."""
         ...
-
-
-class GroundTruthSegmenter:
-    """Returns the simulator's ground-truth labels unchanged."""
-
-    def predict(self, cloud: PointCloud, rng: np.random.Generator | None = None) -> np.ndarray:
-        if cloud.labels is None:
-            raise MissingGroundTruth("cloud carries no ground-truth labels")
-        return cloud.labels.copy()
 
 
 @dataclass

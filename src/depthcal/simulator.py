@@ -2,7 +2,7 @@
 
 Stands in for the physical robot cell: a parametric two-finger gripper
 model, a pinhole depth camera with range noise and dropout, static
-background geometry, and scenario-level dataset generation with known
+background planes, and scenario-level dataset generation with known
 ground-truth hand-eye calibration.
 
 Frames are expressed in the camera frame.  The world frame of a scenario
@@ -53,13 +53,6 @@ class AxisRule:
             raise InvalidDimensions(f"axis must be 0, 1 or 2, got {self.axis}")
         if self.extreme not in ("min", "max", "mid"):
             raise InvalidDimensions(f"unknown extreme rule {self.extreme!r}")
-
-    def to_dict(self) -> dict:
-        return {"axis": self.axis, "extreme": self.extreme, "inset": self.inset}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AxisRule":
-        return cls(int(d["axis"]), str(d["extreme"]), float(d.get("inset", 0.0)))
 
 
 @dataclass
@@ -125,13 +118,6 @@ class CameraModel:
             "hpr_depth_margin": self.hpr_depth_margin,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraModel":
-        d = dict(d)
-        if "pose" in d:
-            d["pose"] = Pose.from_dict(d["pose"])
-        return cls(**d)
-
 
 @dataclass
 class BackgroundPlane:
@@ -158,45 +144,6 @@ class BackgroundPlane:
             "edge_v": list(map(float, self.edge_v)),
             "density": self.density,
         }
-
-
-@dataclass
-class BackgroundBox:
-    """Axis-aligned box, all six faces sampled."""
-
-    bmin: np.ndarray
-    bmax: np.ndarray
-    density: float = 1.0e4
-
-    def sample(self) -> np.ndarray:
-        faces = _box_faces(np.asarray(self.bmin, float), np.asarray(self.bmax, float))
-        return np.concatenate([_sample_rect(o, u, v, self.density) for o, u, v in faces])
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "box",
-            "bmin": list(map(float, self.bmin)),
-            "bmax": list(map(float, self.bmax)),
-            "density": self.density,
-        }
-
-
-def background_from_dict(d: dict):
-    kind = d.get("type")
-    if kind == "plane":
-        return BackgroundPlane(
-            np.asarray(d["origin"], float),
-            np.asarray(d["edge_u"], float),
-            np.asarray(d["edge_v"], float),
-            float(d.get("density", 1.0e4)),
-        )
-    if kind == "box":
-        return BackgroundBox(
-            np.asarray(d["bmin"], float),
-            np.asarray(d["bmax"], float),
-            float(d.get("density", 1.0e4)),
-        )
-    raise InvalidDimensions(f"unknown background primitive type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -230,13 +177,11 @@ class RobotConfig:
     def to_dict(self) -> dict:
         return {"config_id": self.config_id, "t_b_ee": self.t_b_ee.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RobotConfig":
-        return cls(int(d["config_id"]), Pose.from_dict(d["t_b_ee"]))
-
 
 @dataclass
 class EEModelParams:
+    """Gripper sizes (m) and sampling density (points/m^2); see build_ee_model."""
+
     body: tuple[float, float, float] = (0.06, 0.06, 0.05)
     finger: tuple[float, float, float] = (0.02, 0.02, 0.05)
     finger_gap: float = 0.11
@@ -266,16 +211,16 @@ class EEModelParams:
 
 @dataclass
 class Scenario:
-    """Everything needed to generate one dataset deterministically."""
+    """Everything needed to generate one dataset; built by default_scenario."""
 
     gt_calibration: Pose
     robot_configs: list[RobotConfig]
-    frames_per_config: int = 10
-    camera: CameraModel = field(default_factory=CameraModel)
-    ee_model: EEModelParams = field(default_factory=EEModelParams)
-    background: list = field(default_factory=list)
-    occlusion: HalfspaceCut | None = None
-    seed: int = 0
+    frames_per_config: int
+    camera: CameraModel
+    ee_model: EEModelParams
+    background: list[BackgroundPlane]
+    occlusion: HalfspaceCut | None
+    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -288,21 +233,6 @@ class Scenario:
             "occlusion": None if self.occlusion is None else self.occlusion.to_dict(),
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        return cls(
-            gt_calibration=Pose.from_dict(d["gt_calibration"]),
-            robot_configs=[RobotConfig.from_dict(rc) for rc in d["robot_configs"]],
-            frames_per_config=int(d.get("frames_per_config", 10)),
-            camera=CameraModel.from_dict(d.get("camera", {})),
-            ee_model=EEModelParams.from_dict(d.get("ee_model", {})),
-            background=[background_from_dict(b) for b in d.get("background", [])],
-            occlusion=(
-                HalfspaceCut.from_dict(d["occlusion"]) if d.get("occlusion") else None
-            ),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 @dataclass
@@ -375,14 +305,8 @@ def sample_background(primitives: Sequence) -> np.ndarray | None:
 # End-effector model
 
 
-def build_ee_model(
-    body_dims: Sequence[float] = (0.06, 0.06, 0.05),
-    finger_dims: Sequence[float] = (0.02, 0.02, 0.05),
-    finger_gap: float = 0.11,
-    density: float = 8.0e5,
-    origin_inset: float = 0.015,
-) -> EEModel:
-    """Watertight-sampled two-finger gripper.
+def build_ee_model(params: EEModelParams | None = None) -> EEModel:
+    """Watertight-sampled two-finger gripper, EEModelParams() by default.
 
     Layout in the end-effector frame: the finger tips sit on the z = 0
     plane (nearest the camera in the canonical pose), the body sits behind
@@ -394,9 +318,10 @@ def build_ee_model(
     Keypoints: ids 0-3 at the corners of the body's front face, ids 4 and
     5 at the finger tips, separated by `finger_gap`.
     """
-    bx, by, bz = (float(v) for v in body_dims)
-    fx, fy, fz = (float(v) for v in finger_dims)
-    gap = float(finger_gap)
+    p = params or EEModelParams()
+    bx, by, bz = (float(v) for v in p.body)
+    fx, fy, fz = (float(v) for v in p.finger)
+    gap, density, origin_inset = float(p.finger_gap), float(p.density), float(p.origin_inset)
     if min(bx, by, bz, fx, fy, fz, gap, density) <= 0:
         raise InvalidDimensions("all gripper dimensions must be positive")
     if fx > bx:
@@ -450,17 +375,9 @@ def build_ee_model(
         raise InvalidDimensions("extent descriptor does not recover the model origin")
 
     bbox = np.stack([lo, hi])
-    params = EEModelParams((bx, by, bz), (fx, fy, fz), gap, density, origin_inset).to_dict()
     cloud = PointCloud(points, labels=np.full(len(points), LABEL_EE), keypoint_ids=kp_ids)
-    return EEModel(cloud, keypoints, descriptor, bbox, params)
-
-
-def build_ee_model_from_params(params: EEModelParams | dict) -> EEModel:
-    if isinstance(params, dict):
-        params = EEModelParams.from_dict(params)
-    return build_ee_model(
-        params.body, params.finger, params.finger_gap, params.density, params.origin_inset
-    )
+    floats = EEModelParams((bx, by, bz), (fx, fy, fz), gap, density, origin_inset)
+    return EEModel(cloud, keypoints, descriptor, bbox, floats.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +405,7 @@ def render_frame(
     model: EEModel,
     ee_pose_in_camera: Pose,
     camera: CameraModel,
-    background: np.ndarray | Sequence | None = None,
+    background: np.ndarray | None = None,
     seed: int = 0,
     *,
     occlusion: HalfspaceCut | None = None,
@@ -497,11 +414,11 @@ def render_frame(
 ) -> Frame:
     """Render one depth frame.
 
-    background accepts world-frame points (ndarray) or a sequence of
-    primitives; either way they are mapped through camera.pose.  Pipeline
-    order: frustum cull, hidden-point removal on clean geometry, ray noise,
-    dropout.  Raises EEOutsideFrustum when no end-effector point lies in
-    the frustum before sensor effects.
+    background holds world-frame points (sample_background's output),
+    mapped through camera.pose.  Pipeline order: frustum cull,
+    hidden-point removal on clean geometry, ray noise, dropout.  Raises
+    EEOutsideFrustum when no end-effector point lies in the frustum
+    before sensor effects.
     """
     rng = np.random.default_rng(seed)
 
@@ -515,15 +432,8 @@ def render_frame(
         kp_ids = kp_ids[keep]
     ee_cam = ee_pose_in_camera.apply(ee_pts)
 
-    if background is None:
-        bg_world = None
-    elif isinstance(background, np.ndarray):
-        bg_world = background
-    else:
-        bg_world = sample_background(background)
-
-    if bg_world is not None and len(bg_world):
-        bg_cam = camera.pose.apply(bg_world)
+    if background is not None and len(background):
+        bg_cam = camera.pose.apply(background)
         points = np.concatenate([ee_cam, bg_cam])
         labels = np.concatenate(
             [
@@ -581,7 +491,7 @@ def generate_dataset(scenario: Scenario) -> Dataset:
     warning; a config losing all its frames gets its own warning.  Equal
     seeds give bit-identical datasets.
     """
-    model = build_ee_model_from_params(scenario.ee_model)
+    model = build_ee_model(scenario.ee_model)
     bg_world = sample_background(scenario.background)
     camera = replace(scenario.camera, pose=scenario.gt_calibration)
 
@@ -654,9 +564,9 @@ _DEFAULT_EE_IN_CAMERA = [
 class SimulatorConfig:
     """The `simulator` config section: the settings of default_scenario."""
 
-    noise_sigma_1m: float = 0.0
-    noise_exponent: float = 2.0
-    dropout: float = 0.0
+    noise_sigma_1m: float = CameraModel.noise_sigma_1m
+    noise_exponent: float = CameraModel.noise_exponent
+    dropout: float = CameraModel.dropout
     frames_per_config: int = 10
     with_background: bool = True
     # a HalfspaceCut, or its dict {"axis": 0|1|2, "threshold": meters,
@@ -713,6 +623,7 @@ def default_scenario(seed: int = 0, **settings) -> Scenario:
         robot_configs=configs,
         frames_per_config=sim.frames_per_config,
         camera=camera,
+        ee_model=EEModelParams(),
         background=background,
         occlusion=sim.occlusion,
         seed=seed,

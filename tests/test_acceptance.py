@@ -52,7 +52,7 @@ from depthcal.rpt import RptConfig, rotate_back, rpt_translation
 from depthcal.simulator import (
     EEModelParams,
     HalfspaceCut,
-    build_ee_model_from_params,
+    build_ee_model,
     default_scenario,
     generate_dataset,
 )
@@ -302,7 +302,7 @@ class TestPropertySuites:
         )
 
     def test_extent_translation_exact_and_equivariant(self, criterion):
-        model = build_ee_model_from_params(EEModelParams())
+        model = build_ee_model(EEModelParams())
         rng = np.random.default_rng(5)
         worst_exact = worst_equi = 0.0
         for _ in range(200):

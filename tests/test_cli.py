@@ -93,6 +93,38 @@ class TestConfigHandling:
         assert code == 2
         assert "labeling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"segmentation": {"linkage_distance": 0}},
+            {"segmentation": {"min_cluster_fraction": 1.5}},
+            {"segmentation": {"min_cluster_fraction": -0.1}},
+            {"seed": "x"},
+            {"seed": -1},
+            {"seed": True},
+            {"jobs": "2"},
+            {"jobs": 0},
+            {"jobs": True},
+        ],
+        ids=[
+            "linkage_distance_zero",
+            "min_cluster_fraction_above_one",
+            "min_cluster_fraction_negative",
+            "seed_string",
+            "seed_negative",
+            "seed_bool",
+            "jobs_string",
+            "jobs_zero",
+            "jobs_bool",
+        ],
+    )
+    def test_out_of_range_value_exit_2(self, workdir, dataset_dir, capsys, bad):
+        path = workdir / "out_of_range.json"
+        path.write_text(json.dumps(bad))
+        code = main(["estimate", str(dataset_dir), "--frame", "0", "--config", str(path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_dataset_on_disk(self, dataset_dir):
@@ -199,6 +231,16 @@ class TestEstimate:
         assert main(["estimate", str(dataset_dir), "--frame", "0", "--output", str(clean)]) == 0
         assert nan.read_bytes() == clean.read_bytes()
 
+    def test_non_numeric_vertex_exit_3(self, workdir, dataset_dir, capsys):
+        ds = copy_dataset(dataset_dir, workdir / "ds_abc")
+        ply = ds / "frame_00000.ply"
+        lines = ply.read_text().splitlines(keepends=True)
+        first = lines.index("end_header\n") + 1
+        lines[first] = "0.1 abc 0.3 2 -1\n"
+        ply.write_text("".join(lines))
+        assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        assert "frame_00000.ply" in capsys.readouterr().err
+
     def test_sanity_failure_exit_5(self, workdir, dataset_dir, capsys):
         strict = workdir / "strict.json"
         strict.write_text(json.dumps({"calibration": {"min_ee_points": 1000000}}))
@@ -222,6 +264,12 @@ class TestMalformedManifest:
         ds = copy_dataset(
             dataset_dir, workdir / "ds_bad_body", lambda m: m["ee_model"].update(body=-1.0)
         )
+        assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_non_object_manifest_exit_3(self, workdir, dataset_dir, capsys):
+        ds = copy_dataset(dataset_dir, workdir / "ds_list_manifest")
+        (ds / "manifest.json").write_text("[]")
         assert main(["estimate", str(ds), "--frame", "0"]) == 3
         assert "manifest.json" in capsys.readouterr().err
 

@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 from depthcal.errors import EmptyCloud, MissingGroundTruth, NoValidCluster
 from depthcal.geometry import LABEL_EE, PointCloud
 from depthcal.segmentation import (
-    GroundTruthSegmenter,
     NoisyOracleSegmenter,
     _radius_components,
     cluster_filter,
@@ -23,12 +22,12 @@ def labeled_cloud(n=1000, seed=0):
 class TestPredictors:
     def test_ground_truth_passthrough(self):
         cloud = labeled_cloud()
-        out = predict_labels(cloud, GroundTruthSegmenter())
+        out = predict_labels(cloud, NoisyOracleSegmenter())
         assert np.array_equal(out.labels, cloud.labels)
 
     def test_ground_truth_requires_labels(self):
         with pytest.raises(MissingGroundTruth):
-            GroundTruthSegmenter().predict(PointCloud(np.zeros((4, 3))))
+            NoisyOracleSegmenter().predict(PointCloud(np.zeros((4, 3))))
 
     def test_noisy_with_zero_rates_is_ground_truth(self):
         cloud = labeled_cloud(seed=1)
@@ -52,7 +51,7 @@ class TestPredictors:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyCloud):
-            predict_labels(PointCloud(np.zeros((0, 3))), GroundTruthSegmenter())
+            predict_labels(PointCloud(np.zeros((0, 3))), NoisyOracleSegmenter())
 
     def test_non_finite_rows_dropped_with_their_labels(self):
         cloud = labeled_cloud(n=6, seed=6)
@@ -61,7 +60,7 @@ class TestPredictors:
         points[4, 2] = np.inf
         ids = np.array([-1, 0, -1, 1, 2, -1])
         out = predict_labels(
-            PointCloud(points, labels=cloud.labels, keypoint_ids=ids), GroundTruthSegmenter()
+            PointCloud(points, labels=cloud.labels, keypoint_ids=ids), NoisyOracleSegmenter()
         )
         keep = [0, 2, 3, 5]
         assert np.array_equal(out.points, cloud.points[keep])
@@ -69,7 +68,7 @@ class TestPredictors:
         assert np.array_equal(out.keypoint_ids, ids[keep])
         with pytest.raises(EmptyCloud):
             predict_labels(PointCloud(np.full((3, 3), np.nan), labels=np.zeros(3)),
-                           GroundTruthSegmenter())
+                           NoisyOracleSegmenter())
 
 
 def brute_components(points, radius):

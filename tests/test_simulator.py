@@ -10,6 +10,7 @@ from depthcal.simulator import (
     AxisRule,
     CameraModel,
     EEModel,
+    EEModelParams,
     HalfspaceCut,
     build_ee_model,
     default_scenario,
@@ -37,8 +38,8 @@ class TestBuildEEModel:
         assert len(m.surface_cloud) >= 20000
 
     def test_point_count_scales_with_density(self):
-        n1 = len(build_ee_model(density=8.0e5).surface_cloud)
-        n2 = len(build_ee_model(density=1.6e6).surface_cloud)
+        n1 = len(build_ee_model(EEModelParams(density=8.0e5)).surface_cloud)
+        n2 = len(build_ee_model(EEModelParams(density=1.6e6)).surface_cloud)
         assert 1.8 <= n2 / n1 <= 2.2
 
     def test_keypoints_lie_on_surface(self):
@@ -49,7 +50,7 @@ class TestBuildEEModel:
 
     def test_tip_keypoints_separated_by_gap(self):
         gap = 0.11
-        m = build_ee_model(finger_gap=gap)
+        m = build_ee_model(EEModelParams(finger_gap=gap))
         assert abs(np.linalg.norm(m.ref_keypoints[5] - m.ref_keypoints[4]) - gap) < 1e-12
 
     def test_descriptor_recovers_origin(self):
@@ -64,11 +65,11 @@ class TestBuildEEModel:
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(InvalidDimensions):
-            build_ee_model(body_dims=(0.0, 0.06, 0.05))
+            build_ee_model(EEModelParams(body=(0.0, 0.06, 0.05)))
         with pytest.raises(InvalidDimensions):
-            build_ee_model(finger_dims=(0.1, 0.015, 0.05))  # wider than the body
+            build_ee_model(EEModelParams(finger=(0.1, 0.015, 0.05)))  # wider than the body
         with pytest.raises(InvalidDimensions):
-            build_ee_model(origin_inset=0.2)
+            build_ee_model(EEModelParams(origin_inset=0.2))
 
 
 def _flat_plane_model(n_side: int = 317, half: float = 0.1) -> EEModel:
