@@ -78,6 +78,8 @@ def read_ply(path: Path | str) -> PointCloud:
     for i, line in enumerate(lines):
         parts = line.split()
         if parts[:2] == ["element", "vertex"]:
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise DatasetError(f"{path} has a bad vertex count: {line.strip()!r}")
             n = int(parts[2])
         if line.strip() == "end_header":
             body_at = i + 1

@@ -9,6 +9,17 @@ cannot drag the fit, and at the true pose every pair is an exact twin.
 Iterations that would increase the inlier RMSE are rejected, so the
 reported objective is non-increasing by construction.
 
+The source depends only on the model and the config, so prepare_source
+builds it once per model and every frame and candidate reuses it: the
+thinned model points in the model's own frame, their KD-tree, and their
+sampling pitch (median nearest-neighbour distance).  The main loop
+tracks the cumulative placement pose and searches that one tree with the
+sensor points mapped back by the pose's inverse.  Rigid motion preserves
+distances, so the pairs are those of a search over the placed source,
+without a tree built per search; coincident model points (the model
+repeats points on shared edges) are named by their lowest index.  Pair
+distances and the gate are still measured in the sensor frame.
+
 Grid-sampled surfaces need one extra step.  When source and target
 sample the same surface on regular grids of equal pitch, nearest
 neighbour pairing aliases between the two grids and the iteration can
@@ -18,8 +29,11 @@ pre-alignment pass therefore runs first on a dithered copy of the
 source (every point shifted by up to half the pitch, fixed seed).  The
 dither destroys the grid coherence, the pre-alignment lands well
 inside the basin of the exact minimum, and the main loop then snaps to
-it.  The pre-alignment pass does not count toward iterations_used and
-does not appear in rmse_history.
+it.  The jittered points are not a rigid image of the model, so the
+model-frame tree cannot pair them: the pre-alignment searches a tree
+built over its current placement each time, the second search mode of
+_NearestSource.  The pre-alignment pass does not count toward
+iterations_used and does not appear in rmse_history.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DegenerateGeometry, NoCorrespondences, TooFewPoints
-from .geometry import PointCloud, Pose, compose, kabsch_fit
+from .geometry import PointCloud, Pose, compose, invert, kabsch_fit
 from .simulator import EEModel
 
 log = logging.getLogger(__name__)
@@ -114,6 +128,37 @@ def voxel_downsample(
     return cloud_out
 
 
+class IcpSource:
+    """The ICP source of one model, in the model's own frame.
+
+    points: the (thinned) model points.  tree: a KD-tree over the distinct
+    points; first[k] is the lowest index in `points` of tree point k, the
+    index pairs give to coincident points (the model repeats points on
+    shared edges).  pitch: the median nearest-neighbour distance of points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        distinct, self.first = np.unique(points, axis=0, return_index=True)
+        self.tree = cKDTree(distinct)
+        self.pitch = _median_spacing(points)
+
+
+def _median_spacing(pts: np.ndarray) -> float:
+    """Median nearest-neighbour distance, an estimate of the sampling pitch."""
+    if len(pts) < 2:
+        return 0.0
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(np.median(d[:, 1]))
+
+
+def prepare_source(model: EEModel, cfg: IcpConfig | None = None) -> IcpSource:
+    """The model's ICP source, thinned as the config asks."""
+    cfg = cfg or IcpConfig()
+    thinned = voxel_downsample(model.surface_cloud, cfg.source_voxel_size, cfg.source_max_points)
+    return IcpSource(thinned.points)
+
+
 class _NearestSource:
     """Target-driven pairing: each target point with its nearest source point.
 
@@ -122,25 +167,43 @@ class _NearestSource:
     partner while the partner's lead over the runner-up, measured at the
     last search, exceeds twice the largest source displacement since then
     (triangle inequality); only the other points are searched again.
-    Leads within EPS_ABS of zero, exact ties among them, are settled by the
-    gated 1-NN search, so every pair is the one a fresh search would give.
+
+    Given the placement pose of `source`, a search maps the target points
+    back by its inverse and runs on source.tree, so no tree is built.  The
+    pairs are those of a fresh search over the placed points, except that
+    of coincident source points, which such a search may name in any
+    order, the lowest index is named.  Without a pose (a placement that is
+    no rigid image of the source, such as the dithered copy) a search runs
+    on a tree built over the placed points, and leads within EPS_ABS of
+    zero, exact ties among them, are settled by the gated 1-NN search
+    there, so every pair is the one a fresh search would give.
     """
 
-    def __init__(self, tgt: np.ndarray, max_dist: float):
+    def __init__(self, tgt: np.ndarray, max_dist: float, source: IcpSource | None = None):
         self.tgt = tgt
         self.max_dist = max_dist
+        self.source = source
         self.src: np.ndarray | None = None
         self.idx = np.zeros(len(tgt), dtype=np.intp)
         # a lead of zero marks a point for search, so the first call finds all
         self.lead = np.zeros(len(tgt))
 
-    def __call__(self, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pairs (i, j, distance) within max_dist for this source placement."""
+    def __call__(
+        self, src: np.ndarray, place: Pose | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs (i, j, distance) within max_dist for this source placement.
+
+        place, when given, maps source.points onto src.
+        """
         if self.src is not None:
             self.lead -= 2.0 * np.sqrt(((src - self.src) ** 2).sum(axis=1).max())
         self.src = src
         redo = np.flatnonzero(self.lead <= EPS_ABS)
-        if len(redo):
+        if len(redo) and place is not None:
+            d, i = self.source.tree.query(invert(place).apply(self.tgt[redo]), k=2)
+            self.idx[redo] = self.source.first[i[:, 0]]
+            self.lead[redo] = d[:, 1] - d[:, 0]
+        elif len(redo):
             tree = cKDTree(src)
             d, i = tree.query(self.tgt[redo], k=2)
             self.idx[redo] = i[:, 0]
@@ -162,12 +225,6 @@ def _pair_metrics(si: np.ndarray, d: np.ndarray, n_src: int) -> tuple[float, flo
     return fitness, float(np.sqrt(np.mean(d**2)))
 
 
-def _median_spacing(pts: np.ndarray) -> float:
-    """Median nearest-neighbour distance, an estimate of the sampling pitch."""
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(np.median(d[:, 1]))
-
-
 def _register(
     src_pts: np.ndarray,
     pairs: _NearestSource,
@@ -175,9 +232,12 @@ def _register(
     si: np.ndarray,
     ti: np.ndarray,
     d: np.ndarray,
+    place: Pose | None = None,
 ) -> tuple[Pose, float, float, int, bool, list[float]]:
     """Iterate rigid fit + re-pairing from a precomputed initial pairing.
 
+    place is the pose that maps pairs.source.points onto src_pts;
+    None makes every search build a tree over the current placement.
     Returns the accumulated incremental correction together with the final
     pair metrics, the iteration count, the convergence flag and the RMSE
     history of accepted iterations.
@@ -199,13 +259,14 @@ def _register(
         except DegenerateGeometry:
             break
         cand = step.apply(cur)
-        si2, ti2, d2 = pairs(cand)
+        cand_place = None if place is None else compose(step, place)
+        si2, ti2, d2 = pairs(cand, cand_place)
         if len(si2) == 0:
             break
         new_fitness, new_rmse = _pair_metrics(si2, d2, n_src)
         if new_rmse > rmse + EPS_ABS:
             break
-        cur = cand
+        cur, place = cand, cand_place
         delta = compose(step, delta)
         iterations_used = it
         rmse_stable = abs(new_rmse - rmse) < max(cfg.relative_rmse_epsilon * rmse, EPS_ABS)
@@ -226,57 +287,63 @@ def _register(
 
 
 def icp_refine(
-    source: PointCloud, target: PointCloud, initial: Pose, cfg: IcpConfig | None = None
+    source: PointCloud | IcpSource,
+    target: PointCloud,
+    initial: Pose,
+    cfg: IcpConfig | None = None,
 ) -> IcpResult:
     """Refine `initial` so the source cloud matches the target cloud.
 
-    `source` must already be transformed by the initial pose; the result
-    composes the accumulated incremental correction with `initial`, so
-    applying refined_pose to the untransformed model reproduces the final
-    internal source placement.
+    `source` is either a PointCloud already transformed by the initial
+    pose, or an IcpSource in the model frame, placed at `initial` here.
+    The result composes the accumulated incremental correction with
+    `initial`, so applying refined_pose to the untransformed model
+    reproduces the final internal source placement.
     """
     cfg = cfg or IcpConfig()
-    if len(source) < MIN_ICP_POINTS or len(target) < MIN_ICP_POINTS:
+    n_src = len(source.points)
+    if n_src < MIN_ICP_POINTS or len(target) < MIN_ICP_POINTS:
         raise TooFewPoints(
             f"ICP needs at least {MIN_ICP_POINTS} points on each side, "
-            f"got {len(source)} source / {len(target)} target"
+            f"got {n_src} source / {len(target)} target"
         )
     if not (np.all(np.isfinite(initial.translation))):
         raise ValueError("initial pose translation is not finite")
 
-    pairs = _NearestSource(target.points, cfg.max_correspondence_distance)
-    src0 = source.points
-    si, ti, d = pairs(src0)
+    if isinstance(source, PointCloud):
+        # the placed cloud is its own frame, so its placement is the identity
+        src0, source, place = source.points, IcpSource(source.points), Pose.identity()
+    else:
+        src0, place = initial.apply(source.points), initial
+    pairs = _NearestSource(target.points, cfg.max_correspondence_distance, source)
+    si, ti, d = pairs(src0, place)
     if len(si) == 0:
         raise NoCorrespondences(
             "no target point within max_correspondence_distance of the "
             "initial placement; the initialization is too far off"
         )
-    _, rmse0 = _pair_metrics(si, d, len(src0))
+    _, rmse0 = _pair_metrics(si, d, n_src)
 
     # dithered pre-alignment against grid aliasing (see module docstring);
     # skipped when the start is already closer than half the sampling pitch
     pre = Pose.identity()
     start_pts = src0
-    if rmse0 > EPS_ABS:
-        pitch = _median_spacing(src0)
-        if pitch > 0.0 and rmse0 > 0.5 * pitch:
-            shift = np.random.default_rng(0).uniform(
-                -0.5 * pitch, 0.5 * pitch, size=src0.shape
-            )
-            jittered = src0 + shift
-            sj, tj, dj = pairs(jittered)
-            if len(sj) >= 3:
-                pre = _register(jittered, pairs, cfg, sj, tj, dj)[0]
-                cand_pts = pre.apply(src0)
-                si2, ti2, d2 = pairs(cand_pts)
-                if len(si2) > 0:
-                    start_pts, si, ti, d = cand_pts, si2, ti2, d2
-                else:
-                    pre = Pose.identity()
+    pitch = source.pitch
+    if rmse0 > EPS_ABS and pitch > 0.0 and rmse0 > 0.5 * pitch:
+        shift = np.random.default_rng(0).uniform(-0.5 * pitch, 0.5 * pitch, size=src0.shape)
+        jittered = src0 + shift
+        sj, tj, dj = pairs(jittered)
+        if len(sj) >= 3:
+            pre = _register(jittered, pairs, cfg, sj, tj, dj)[0]
+            cand_pts = pre.apply(src0)
+            si2, ti2, d2 = pairs(cand_pts, compose(pre, place))
+            if len(si2) > 0:
+                start_pts, si, ti, d = cand_pts, si2, ti2, d2
+            else:
+                pre = Pose.identity()
 
     delta, fitness, rmse, iterations_used, converged, history = _register(
-        start_pts, pairs, cfg, si, ti, d
+        start_pts, pairs, cfg, si, ti, d, compose(pre, place)
     )
 
     return IcpResult(
@@ -292,21 +359,20 @@ def icp_refine(
 def refine_estimates(
     ee_cloud: PointCloud,
     candidates: Sequence[tuple[str, Pose]],
-    model: EEModel,
+    source: IcpSource | EEModel,
     cfg: IcpConfig | None = None,
 ) -> list[tuple[str, IcpResult]]:
     """Run ICP from every available initial pose candidate.
 
-    Candidates that fail (no correspondences, degenerate fits) are logged
-    and skipped; with no survivors the caller drops the frame.
+    `source` is the model's prepared IcpSource; an EEModel is prepared
+    here.  Candidates that fail (no correspondences, degenerate fits) are
+    logged and skipped; with no survivors the caller drops the frame.
     """
     cfg = cfg or IcpConfig()
-    src_model = voxel_downsample(
-        model.surface_cloud, cfg.source_voxel_size, cfg.source_max_points
-    )
+    if isinstance(source, EEModel):
+        source = prepare_source(source, cfg)
     out = []
     for tag, pose in candidates:
-        source = PointCloud(pose.apply(src_model.points))
         try:
             out.append((tag, icp_refine(source, ee_cloud, pose, cfg)))
         except (NoCorrespondences, DegenerateGeometry, TooFewPoints) as e:

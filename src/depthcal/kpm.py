@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloud, MissingGroundTruth, TooFewKeypoints
+from .errors import ConfigError, EmptyCloud, MissingGroundTruth, TooFewKeypoints
 from .geometry import PointCloud, Pose, kabsch_fit
 
 MIN_MATCHED_KEYPOINTS = 4
@@ -33,6 +33,14 @@ class KpmConfig:
     snap_radius_m: float = 0.01
     # filter_keypoints radius
     quality_radius_m: float = 0.03
+
+    def __post_init__(self):
+        if not self.sigma_m >= 0:
+            raise ConfigError("sigma_m must be non-negative")
+        if not 0.0 <= self.dropout <= 1.0:
+            raise ConfigError("dropout must be in [0, 1]")
+        if not (self.snap_radius_m > 0 and self.quality_radius_m > 0):
+            raise ConfigError("snap_radius_m and quality_radius_m must be positive")
 
 
 class KeypointPredictor(Protocol):

@@ -36,7 +36,7 @@ from .errors import (
     TooFewPoints,
 )
 from .geometry import LABEL_EE, PointCloud, Pose, compose
-from .icp import IcpConfig, IcpResult, refine_estimates
+from .icp import IcpConfig, IcpResult, IcpSource, prepare_source, refine_estimates
 from .kpm import KpmConfig, NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
 from .rpt import NoisyOracleRotation, RptConfig, rpt_pose
 from .segmentation import (
@@ -131,13 +131,16 @@ def estimate_frame(
     model: EEModel,
     cfg: PipelineConfig | None = None,
     gt_calibration: Pose | None = None,
+    source: IcpSource | None = None,
 ) -> FrameEstimate:
     """Run the single-frame estimation flow on one frame.
 
     Frames the flow cannot use (no end-effector points, no valid
     cluster, failed sanity check) come back with a skipped_reason
     instead of raising.  cfg is used as given; callers with dataset
-    context pass it through resolve_config first.
+    context pass it through resolve_config first.  source is the
+    model's ICP source prepared with cfg.icp; without one, ICP
+    prepares its own.
     """
     cfg = cfg or PipelineConfig()
     out = FrameEstimate(frame_index, frame.config_id, frame.t_b_ee, None)
@@ -202,8 +205,10 @@ def estimate_frame(
         log.info("frame %d: keypoint route unavailable: %s", frame_index, e)
 
     if cfg.icp.enabled and out.estimates:
+        if source is None:
+            source = prepare_source(model, cfg.icp)
         refined = dict(
-            refine_estimates(ee, [(m.method, m.pose) for m in out.estimates], model, cfg.icp)
+            refine_estimates(ee, [(m.method, m.pose) for m in out.estimates], source, cfg.icp)
         )
         for m in out.estimates:
             res = refined.get(m.method)
@@ -216,10 +221,12 @@ def estimate_frame(
 def estimate_frames(dataset: Dataset, cfg: PipelineConfig | None = None) -> list[FrameEstimate]:
     """Estimate every frame of a dataset, optionally with worker threads."""
     cfg = resolve_config(dataset, cfg or PipelineConfig())
+    # one ICP source for all frames
+    source = prepare_source(dataset.model, cfg.icp) if cfg.icp.enabled else None
 
     def one(item: tuple[int, Frame]) -> FrameEstimate:
         i, frame = item
-        return estimate_frame(frame, i, dataset.model, cfg, dataset.gt_calibration)
+        return estimate_frame(frame, i, dataset.model, cfg, dataset.gt_calibration, source)
 
     items = list(enumerate(dataset.frames))
     if cfg.jobs > 1:

@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import MissingGroundTruth, TooFewPoints
+from .errors import ConfigError, MissingGroundTruth, TooFewPoints
 from .geometry import PointCloud, Pose, Quaternion
 from .simulator import AxisRule, EEModel
 
@@ -36,6 +36,12 @@ class RptConfig:
     # extent trimming of rpt_pose; pipeline.resolve_config zeroes it on
     # noiseless data
     trim_fraction: float = 0.002
+
+    def __post_init__(self):
+        if not self.rotation_sigma_deg >= 0:
+            raise ConfigError("rotation_sigma_deg must be non-negative")
+        if not 0.0 <= self.trim_fraction < 0.5:
+            raise ConfigError("trim_fraction must be in [0, 0.5)")
 
 
 class RotationPredictor(Protocol):

@@ -34,6 +34,8 @@ class SegmentationConfig:
     min_cluster_fraction: float = 0.2
 
     def __post_init__(self):
+        if not (0.0 <= self.flip_probability <= 1.0 and 0.0 <= self.speckle_rate <= 1.0):
+            raise ConfigError("flip_probability and speckle_rate must be in [0, 1]")
         if not self.linkage_distance > 0:
             raise ConfigError("linkage_distance must be positive")
         if not 0.0 <= self.min_cluster_fraction <= 1.0:

@@ -105,6 +105,17 @@ class TestConfigHandling:
             {"jobs": "2"},
             {"jobs": 0},
             {"jobs": True},
+            {"segmentation": {"flip_probability": 2}},
+            {"segmentation": {"flip_probability": "x"}},
+            {"segmentation": {"speckle_rate": -0.1}},
+            {"rpt": {"rotation_sigma_deg": -1}},
+            {"rpt": {"trim_fraction": 0.5}},
+            {"rpt": {"trim_fraction": -0.01}},
+            {"kpm": {"sigma_m": "x"}},
+            {"kpm": {"sigma_m": -0.001}},
+            {"kpm": {"dropout": 1.5}},
+            {"kpm": {"snap_radius_m": 0}},
+            {"kpm": {"quality_radius_m": -0.03}},
         ],
         ids=[
             "linkage_distance_zero",
@@ -116,6 +127,17 @@ class TestConfigHandling:
             "jobs_string",
             "jobs_zero",
             "jobs_bool",
+            "flip_probability_above_one",
+            "flip_probability_string",
+            "speckle_rate_negative",
+            "rotation_sigma_negative",
+            "trim_fraction_half",
+            "trim_fraction_negative",
+            "kpm_sigma_string",
+            "kpm_sigma_negative",
+            "kpm_dropout_above_one",
+            "snap_radius_zero",
+            "quality_radius_negative",
         ],
     )
     def test_out_of_range_value_exit_2(self, workdir, dataset_dir, capsys, bad):
@@ -237,6 +259,21 @@ class TestEstimate:
         lines = ply.read_text().splitlines(keepends=True)
         first = lines.index("end_header\n") + 1
         lines[first] = "0.1 abc 0.3 2 -1\n"
+        ply.write_text("".join(lines))
+        assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        assert "frame_00000.ply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header",
+        ["element vertex abc", "element vertex", "element vertex -3"],
+        ids=["non_numeric", "missing", "negative"],
+    )
+    def test_bad_vertex_count_exit_3(self, tmp_path, dataset_dir, capsys, header):
+        ds = copy_dataset(dataset_dir, tmp_path / "ds")
+        ply = ds / "frame_00000.ply"
+        lines = ply.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("element vertex"))
+        lines[at] = header + "\n"
         ply.write_text("".join(lines))
         assert main(["estimate", str(ds), "--frame", "0"]) == 3
         assert "frame_00000.ply" in capsys.readouterr().err

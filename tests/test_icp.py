@@ -7,6 +7,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import assert_pose_close
+from depthcal import icp
+from depthcal.calibration import calibrate
 from depthcal.errors import ConfigError, NoCorrespondences, TooFewPoints
 from depthcal.geometry import (
     LABEL_EE,
@@ -18,12 +20,15 @@ from depthcal.geometry import (
 )
 from depthcal.icp import (
     IcpConfig,
+    IcpSource,
     _NearestSource,
     icp_refine,
+    prepare_source,
     refine_estimates,
     voxel_downsample,
 )
 from depthcal.kpm import NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
+from depthcal.pipeline import PipelineConfig
 from depthcal.rpt import NoisyOracleRotation, rpt_pose
 from depthcal.simulator import default_scenario, generate_dataset
 
@@ -168,6 +173,106 @@ class TestNearestSource:
             np.testing.assert_array_equal(ti, j)
             np.testing.assert_array_equal(si, ii[j])
             np.testing.assert_array_equal(d, dd[j])
+
+
+class TestModelFrameSearch:
+    def test_every_call_matches_a_fresh_gated_search(self):
+        # the sequence of TestNearestSource, searched in the source's own
+        # frame: the placement is iterated point by point as in an ICP run,
+        # the pose composed step by step beside it
+        rng = np.random.default_rng(11)
+        src = rng.uniform(-0.05, 0.05, size=(400, 3))
+        src = np.vstack([src, src[:40]])
+        # a fresh search may name either of two coincident source points;
+        # the model-frame search names the lower index.  The copies are
+        # kept coincident after each move, since a matrix product may
+        # round two equal rows differently
+        lowest = np.r_[np.arange(400), np.arange(40)]
+        tgt = np.vstack(
+            [src[::3] + rng.normal(scale=0.002, size=(147, 3)), src[:40],
+             rng.uniform(-0.2, 0.2, size=(60, 3))]
+        )
+        place = Pose(Quaternion.from_axis_angle([0.2, -1.0, 0.4], 0.3), [0.01, 0.0, -0.02])
+        placed = place.apply(src)
+        tgt = place.apply(tgt)
+        pairs = _NearestSource(tgt, 0.02, IcpSource(src))
+        for step in range(12):
+            scale = 0.5**step
+            move = Pose(
+                Quaternion.from_axis_angle(rng.normal(size=3), 0.05 * scale),
+                rng.normal(scale=0.005 * scale, size=3),
+            )
+            placed, place = move.apply(placed), compose(move, place)
+            placed[400:] = placed[:40]
+            si, ti, d = pairs(placed, place)
+            dd, ii = cKDTree(placed).query(tgt, distance_upper_bound=0.02)
+            j = np.flatnonzero(np.isfinite(dd))
+            np.testing.assert_array_equal(ti, j)
+            np.testing.assert_array_equal(si, lowest[ii[j]])
+            np.testing.assert_array_equal(placed[si], placed[ii[j]])
+            np.testing.assert_array_equal(d, dd[j])
+
+
+    def test_register_follows_the_placement(self, noisy_dataset):
+        # the main loop's model-frame searches against a tree built over
+        # every placement: same steps, same pairs
+        ds = noisy_dataset
+        source = prepare_source(ds.model)
+        cfg = IcpConfig()
+        for frame in ds.frames[:3]:
+            gt = compose(ds.gt_calibration, frame.t_b_ee)
+            start = perturbed(gt, [0.004, -0.003, 0.002], [0.5, 1.0, -0.3], 2.0)
+            tgt = ee_subset(frame.cloud).points
+            src0 = start.apply(source.points)
+            model_frame = _NearestSource(tgt, cfg.max_correspondence_distance, source)
+            placed = _NearestSource(tgt, cfg.max_correspondence_distance)
+            a = icp._register(src0, model_frame, cfg, *model_frame(src0, start), start)
+            b = icp._register(src0, placed, cfg, *placed(src0))
+            assert a[1:] == b[1:]
+            assert a[0].to_dict() == b[0].to_dict()
+            assert a[3] > 1
+
+
+class TestPreparedSource:
+    def test_reuse_across_frames_is_bitwise_equal(self, noisy_dataset):
+        ds = noisy_dataset
+        shared = prepare_source(ds.model)
+        for i, frame in enumerate(ds.frames[:4]):
+            gt = compose(ds.gt_calibration, frame.t_b_ee)
+            cands = [
+                ("rpt", perturbed(gt, [0.008, -0.004, 0.003], [0.3, 1.0, -0.2], 3.0)),
+                ("kpm", perturbed(gt, [-0.002, 0.005, 0.001], [1.0, 0.1, 0.5], 1.5)),
+            ]
+            ee = ee_subset(frame.cloud)
+            reused = refine_estimates(ee, cands, shared)
+            fresh = refine_estimates(ee, cands, prepare_source(ds.model))
+            assert len(reused) == len(fresh) == 2, f"frame {i}"
+            for (tag_a, a), (tag_b, b) in zip(reused, fresh):
+                assert tag_a == tag_b
+                assert a.refined_pose.to_dict() == b.refined_pose.to_dict()
+                assert (a.fitness, a.inlier_rmse) == (b.fitness, b.inlier_rmse)
+                assert (a.iterations_used, a.converged) == (b.iterations_used, b.converged)
+                assert a.rmse_history == b.rmse_history
+
+    def test_one_calibration_prepares_once(self, noiseless_dataset, monkeypatch):
+        calls = {"voxel_downsample": 0, "_median_spacing": 0, "icp_refine": 0}
+
+        def counted(name):
+            fn = getattr(icp, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(icp, name, counted(name))
+        result = calibrate(noiseless_dataset, PipelineConfig())
+        assert sum(g.frames_used for g in result.groups) == len(noiseless_dataset.frames)
+        assert calls["icp_refine"] >= 2 * len(noiseless_dataset.frames)
+        assert calls["voxel_downsample"] == 1
+        assert calls["_median_spacing"] == 1
 
 
 class TestIcpConfig:
