@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -51,11 +52,28 @@ class CliConfig(PipelineConfig):
     evaluation: EvaluationConfig = dataclasses.field(default_factory=EvaluationConfig)
 
 
+def _json_kind(value) -> str | None:
+    """The JSON type a config value has, or None for null and objects."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, numbers.Integral):
+        return "an integer"
+    if isinstance(value, numbers.Real):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, (list, tuple)):
+        return "an array"
+    return None
+
+
 def from_dict(cls, data, where: str = ""):
     """Build dataclass cls from a JSON object, rejecting unknown keys.
 
     A field whose default is a dataclass is a config section and is
-    built recursively; any other field takes the JSON value as it is.
+    built recursively.  Any other field takes the JSON value as it is,
+    once the value has its default's JSON type (an integer also passes
+    for a number); a field that defaults to null takes any value.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config section {where or '(top level)'} must be a JSON object")
@@ -68,6 +86,10 @@ def from_dict(cls, data, where: str = ""):
         section = fields[key].default_factory
         if dataclasses.is_dataclass(section):
             value = from_dict(section, value, path)
+        else:
+            want, got = _json_kind(fields[key].default), _json_kind(value)
+            if want is not None and got != want and (want, got) != ("a number", "an integer"):
+                raise ConfigError(f"{path} must be {want}, got {value!r}")
         values[key] = value
     try:
         return cls(**values)

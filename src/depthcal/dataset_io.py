@@ -1,8 +1,9 @@
 """On-disk dataset format and deterministic JSON helpers.
 
 A dataset directory holds manifest.json plus one ASCII PLY per frame.
-PLY vertices carry x y z (float, meters), label (uchar) and keypoint_id
-(int, -1 for none).  All floats are written at fixed 9-digit precision,
+PLY vertices carry x y z (float, meters), label (uchar: 0 background,
+1 arm, 2 end-effector) and keypoint_id (int, -1 for none, each other id
+on at most one point).  All floats are written at fixed 9-digit precision,
 so identical data always serializes to identical bytes.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InvalidDimensions
-from .geometry import PointCloud, Pose
+from .geometry import LABEL_ARM, LABEL_BACKGROUND, LABEL_EE, PointCloud, Pose
 from .simulator import Dataset, EEModelParams, Frame, build_ee_model
 
 MANIFEST_NAME = "manifest.json"
@@ -92,11 +93,17 @@ def read_ply(path: Path | str) -> PointCloud:
         raise DatasetError(f"{path} has malformed vertex data: {e}") from e
     if len(data) != n or data.shape[1] != 5:
         raise DatasetError(f"{path} vertex data does not match its header")
-    return PointCloud(
-        data[:, :3],
-        labels=data[:, 3].astype(np.int64),
-        keypoint_ids=data[:, 4].astype(np.int64),
-    )
+    labels, ids = data[:, 3], data[:, 4]
+    if not np.isin(labels, (LABEL_BACKGROUND, LABEL_ARM, LABEL_EE)).all():
+        raise DatasetError(f"{path} has a label other than 0, 1 or 2")
+    if not (ids == np.floor(ids)).all() or (ids < -1).any():
+        raise DatasetError(f"{path} has a keypoint id that is not an integer >= -1")
+    try:
+        return PointCloud(
+            data[:, :3], labels=labels.astype(np.int64), keypoint_ids=ids.astype(np.int64)
+        )
+    except ValueError as e:  # a keypoint id on two points
+        raise DatasetError(f"{path}: {e}") from e
 
 
 def save_dataset(dataset: Dataset, directory: Path | str) -> Path:

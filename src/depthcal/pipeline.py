@@ -121,7 +121,7 @@ def resolve_config(dataset: Dataset, cfg: PipelineConfig) -> PipelineConfig:
     if not (sensor_noisy or seg.flip_probability > 0 or seg.speckle_rate > 0):
         rpt = replace(rpt, trim_fraction=0.0)
     if not sensor_noisy:
-        icp = replace(icp, source_voxel_size=0.0, source_max_points=0)
+        icp = replace(icp, source_voxel_size=0.0)
     return replace(cfg, rpt=rpt, icp=icp)
 
 

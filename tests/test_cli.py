@@ -116,6 +116,13 @@ class TestConfigHandling:
             {"kpm": {"dropout": 1.5}},
             {"kpm": {"snap_radius_m": 0}},
             {"kpm": {"quality_radius_m": -0.03}},
+            {"icp": {"enabled": "no"}},
+            {"icp": {"max_iterations": 7.5}},
+            {"kpm": {"sigma_m": True}},
+            {"evaluation": {"add_thresholds": 0.01}},
+            {"evaluation": {"write_csv": 1}},
+            {"calibration": {"translation_outlier_mode": 3}},
+            {"simulator": {"frames_per_config": "5"}},
         ],
         ids=[
             "linkage_distance_zero",
@@ -138,6 +145,13 @@ class TestConfigHandling:
             "kpm_dropout_above_one",
             "snap_radius_zero",
             "quality_radius_negative",
+            "icp_enabled_string",
+            "max_iterations_fraction",
+            "kpm_sigma_bool",
+            "add_thresholds_number",
+            "write_csv_integer",
+            "outlier_mode_integer",
+            "frames_per_config_string",
         ],
     )
     def test_out_of_range_value_exit_2(self, workdir, dataset_dir, capsys, bad):
@@ -145,7 +159,28 @@ class TestConfigHandling:
         path.write_text(json.dumps(bad))
         code = main(["estimate", str(dataset_dir), "--frame", "0", "--config", str(path)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        key, value = next(iter(bad.items()))
+        while isinstance(value, dict):
+            key, value = next(iter(value.items()))
+        assert key in err
+
+    def test_wrong_type_named_by_dotted_key(self):
+        with pytest.raises(ConfigError, match=r"icp\.enabled must be a boolean"):
+            from_dict(CliConfig, {"icp": {"enabled": "no"}})
+        with pytest.raises(ConfigError, match=r"kpm\.sigma_m must be a number"):
+            from_dict(CliConfig, {"kpm": {"sigma_m": "x"}})
+        with pytest.raises(ConfigError, match=r"^seed must be an integer"):
+            from_dict(CliConfig, {"seed": 1.5})
+        # an integer passes for a number, and a null default takes an object
+        cfg = from_dict(
+            CliConfig,
+            {"icp": {"max_correspondence_distance": 1},
+             "simulator": {"occlusion": {"axis": 2, "threshold": 0.3, "remove_above": True}}},
+        )
+        assert cfg.icp.max_correspondence_distance == 1
+        assert cfg.simulator.occlusion is not None
 
 
 class TestSimulate:
@@ -274,6 +309,28 @@ class TestEstimate:
         lines = ply.read_text().splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines) if line.startswith("element vertex"))
         lines[at] = header + "\n"
+        ply.write_text("".join(lines))
+        assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        assert "frame_00000.ply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row, tagged: row[:3] + ["7", row[4]],
+            lambda row, tagged: row[:4] + ["-2"],
+            lambda row, tagged: row[:4] + [tagged],
+        ],
+        ids=["label_seven", "keypoint_id_below_minus_one", "keypoint_id_repeated"],
+    )
+    def test_bad_label_or_keypoint_id_exit_3(self, tmp_path, dataset_dir, capsys, edit):
+        ds = copy_dataset(dataset_dir, tmp_path / "ds")
+        ply = ds / "frame_00000.ply"
+        lines = ply.read_text().splitlines(keepends=True)
+        body = lines.index("end_header\n") + 1
+        rows = [line.split() for line in lines[body:]]
+        tagged = next(row[4] for row in rows if int(row[4]) >= 0)
+        at = next(i for i, row in enumerate(rows) if row[4] == "-1")
+        lines[body + at] = " ".join(edit(rows[at], tagged)) + "\n"
         ply.write_text("".join(lines))
         assert main(["estimate", str(ds), "--frame", "0"]) == 3
         assert "frame_00000.ply" in capsys.readouterr().err

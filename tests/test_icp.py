@@ -27,9 +27,15 @@ from depthcal.icp import (
     refine_estimates,
     voxel_downsample,
 )
-from depthcal.kpm import NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
+from depthcal.kpm import (
+    KpmConfig,
+    NoisyOracleKeypoints,
+    filter_keypoints,
+    kpm_pose,
+    predict_keypoints,
+)
 from depthcal.pipeline import PipelineConfig
-from depthcal.rpt import NoisyOracleRotation, rpt_pose
+from depthcal.rpt import NoisyOracleRotation, RptConfig, rpt_pose
 from depthcal.simulator import default_scenario, generate_dataset
 
 
@@ -47,6 +53,11 @@ def noisy_dataset():
 
 def ee_subset(cloud):
     return cloud.subset(cloud.labels == LABEL_EE)
+
+
+def model_source(ds) -> IcpSource:
+    """The full-resolution model source, as a noiseless calibration uses it."""
+    return IcpSource(ds.model.surface_cloud.points)
 
 
 def perturbed(pose: Pose, t_off, axis, angle_deg) -> Pose:
@@ -67,11 +78,6 @@ class TestVoxelDownsample:
         out = voxel_downsample(cloud, 0.0)
         assert len(out) == len(cloud)
 
-    def test_max_points_cap(self, noiseless_dataset):
-        cloud = noiseless_dataset.model.surface_cloud
-        out = voxel_downsample(cloud, 0.0, max_points=1000)
-        assert len(out) == 1000
-
     def test_one_point_per_voxel(self):
         rng = np.random.default_rng(3)
         cloud = PointCloud(rng.uniform(0, 0.1, size=(500, 3)))
@@ -85,7 +91,7 @@ class TestIcpRefine:
         ds = noiseless_dataset
         frame = ds.frames[0]
         gt = compose(ds.gt_calibration, frame.t_b_ee)
-        source = PointCloud(gt.apply(ds.model.surface_cloud.points))
+        source = model_source(ds)
         res = icp_refine(source, ee_subset(frame.cloud), gt)
         assert_pose_close(res.refined_pose, gt, atol_t=1e-9, atol_r=1e-9)
         assert res.iterations_used <= 2
@@ -93,8 +99,8 @@ class TestIcpRefine:
         # composition contract: refined pose re-places the model exactly
         # where the internal iteration left the source
         np.testing.assert_allclose(
-            res.refined_pose.apply(ds.model.surface_cloud.points),
-            source.points,
+            res.refined_pose.apply(source.points),
+            gt.apply(source.points),
             atol=1e-9,
         )
 
@@ -103,8 +109,7 @@ class TestIcpRefine:
         for i, frame in enumerate(ds.frames[:3]):
             gt = compose(ds.gt_calibration, frame.t_b_ee)
             start = perturbed(gt, [0.006, -0.006, 0.005], [0.3, 1.0, -0.2], 3.0)
-            source = PointCloud(start.apply(ds.model.surface_cloud.points))
-            res = icp_refine(source, ee_subset(frame.cloud), start)
+            res = icp_refine(model_source(ds), ee_subset(frame.cloud), start)
             err_t = float(np.linalg.norm(res.refined_pose.translation - gt.translation))
             err_r = math.degrees(rotation_distance(res.refined_pose.rotation, gt.rotation))
             assert err_t < 1e-4, f"frame {i}: {err_t}"
@@ -115,16 +120,15 @@ class TestIcpRefine:
         frame = ds.frames[0]
         gt = compose(ds.gt_calibration, frame.t_b_ee)
         start = Pose(gt.rotation, gt.translation + np.array([0.5, 0.0, 0.0]))
-        source = PointCloud(start.apply(ds.model.surface_cloud.points))
         with pytest.raises(NoCorrespondences):
-            icp_refine(source, ee_subset(frame.cloud), start)
+            icp_refine(model_source(ds), ee_subset(frame.cloud), start)
 
     def test_rmse_monotone_on_noisy_frame(self, noisy_dataset):
         ds = noisy_dataset
+        source = model_source(ds)
         for frame in ds.frames[:4]:
             gt = compose(ds.gt_calibration, frame.t_b_ee)
             start = perturbed(gt, [0.01, 0.008, -0.006], [1.0, -0.4, 0.8], 4.0)
-            source = PointCloud(start.apply(ds.model.surface_cloud.points))
             res = icp_refine(source, ee_subset(frame.cloud), start)
             diffs = np.diff(res.rmse_history)
             assert np.all(diffs <= 1e-12), diffs
@@ -133,69 +137,85 @@ class TestIcpRefine:
         tiny = PointCloud(np.zeros((5, 3)))
         big = PointCloud(np.random.default_rng(0).normal(size=(100, 3)))
         with pytest.raises(TooFewPoints):
-            icp_refine(tiny, big, Pose.identity())
+            icp_refine(IcpSource(tiny.points), big, Pose.identity())
         with pytest.raises(TooFewPoints):
-            icp_refine(big, tiny, Pose.identity())
+            icp_refine(IcpSource(big.points), tiny, Pose.identity())
 
     def test_fitness_range(self, noisy_dataset):
         ds = noisy_dataset
         frame = ds.frames[0]
         gt = compose(ds.gt_calibration, frame.t_b_ee)
-        source = PointCloud(gt.apply(ds.model.surface_cloud.points))
-        res = icp_refine(source, ee_subset(frame.cloud), gt)
+        res = icp_refine(model_source(ds), ee_subset(frame.cloud), gt)
         assert 0.0 < res.fitness <= 1.0
         assert res.inlier_rmse >= 0.0
 
 
+class FreshSearch:
+    """Reference pairing: a gated 1-NN search over a tree built on every
+    placement, with _NearestSource's call signature."""
+
+    def __init__(self, tgt, max_dist):
+        self.tgt = tgt
+        self.max_dist = max_dist
+
+    def __call__(self, src, place=None):
+        d, i = cKDTree(src).query(self.tgt, distance_upper_bound=self.max_dist)
+        j = np.flatnonzero(np.isfinite(d))
+        return i[j], j, d[j]
+
+
+def random_source_and_target(rng):
+    # 400 source points and 40 repeats of them; targets near every third
+    # point, on the repeated points exactly, and partly beyond the gate
+    src = rng.uniform(-0.05, 0.05, size=(400, 3))
+    src = np.vstack([src, src[:40]])
+    tgt = np.vstack(
+        [src[::3] + rng.normal(scale=0.002, size=(147, 3)), src[:40],
+         rng.uniform(-0.2, 0.2, size=(60, 3))]
+    )
+    return src, tgt
+
+
 class TestNearestSource:
     def test_every_call_matches_a_fresh_gated_search(self):
-        # shrinking rigid steps, as in an ICP run, on a source with
-        # duplicate points (exact ties) and targets partly beyond the gate
+        # shrinking rigid steps from the identity, as in an ICP run, each
+        # checked against a fresh search over the placed distinct points
         rng = np.random.default_rng(7)
-        src = rng.uniform(-0.05, 0.05, size=(400, 3))
-        src = np.vstack([src, src[:40]])
-        tgt = np.vstack(
-            [src[::3] + rng.normal(scale=0.002, size=(147, 3)), src[:40],
-             rng.uniform(-0.2, 0.2, size=(60, 3))]
-        )
-        pairs = _NearestSource(tgt, 0.02)
-        placed = src
+        src, tgt = random_source_and_target(rng)
+        source = IcpSource(src)
+        pairs = _NearestSource(tgt, 0.02, source.tree)
+        fresh = FreshSearch(tgt, 0.02)
+        placed, place = source.points, Pose.identity()
         for step in range(12):
             scale = 0.5**step
-            pose = Pose(
+            move = Pose(
                 Quaternion.from_axis_angle(rng.normal(size=3), 0.05 * scale),
                 rng.normal(scale=0.005 * scale, size=3),
             )
-            placed = pose.apply(placed)
-            si, ti, d = pairs(placed)
-            dd, ii = cKDTree(placed).query(tgt, distance_upper_bound=0.02)
-            j = np.flatnonzero(np.isfinite(dd))
-            np.testing.assert_array_equal(ti, j)
-            np.testing.assert_array_equal(si, ii[j])
-            np.testing.assert_array_equal(d, dd[j])
+            placed, place = move.apply(placed), compose(move, place)
+            si, ti, d = pairs(placed, place)
+            fi, fj, fd = fresh(placed)
+            np.testing.assert_array_equal(ti, fj)
+            np.testing.assert_array_equal(si, fi)
+            np.testing.assert_array_equal(d, fd)
 
 
 class TestModelFrameSearch:
     def test_every_call_matches_a_fresh_gated_search(self):
-        # the sequence of TestNearestSource, searched in the source's own
-        # frame: the placement is iterated point by point as in an ICP run,
-        # the pose composed step by step beside it
+        # the sequence of TestNearestSource from a placement far from the
+        # source frame, against a fresh search over all 440 placed rows: it
+        # may name either copy of a repeated point, the source names the
+        # one distinct point.  The copies are kept coincident after each
+        # move, since a matrix product may round two equal rows differently
         rng = np.random.default_rng(11)
-        src = rng.uniform(-0.05, 0.05, size=(400, 3))
-        src = np.vstack([src, src[:40]])
-        # a fresh search may name either of two coincident source points;
-        # the model-frame search names the lower index.  The copies are
-        # kept coincident after each move, since a matrix product may
-        # round two equal rows differently
+        src, tgt = random_source_and_target(rng)
         lowest = np.r_[np.arange(400), np.arange(40)]
-        tgt = np.vstack(
-            [src[::3] + rng.normal(scale=0.002, size=(147, 3)), src[:40],
-             rng.uniform(-0.2, 0.2, size=(60, 3))]
-        )
         place = Pose(Quaternion.from_axis_angle([0.2, -1.0, 0.4], 0.3), [0.01, 0.0, -0.02])
         placed = place.apply(src)
         tgt = place.apply(tgt)
-        pairs = _NearestSource(tgt, 0.02, IcpSource(src))
+        source = IcpSource(src)
+        np.testing.assert_array_equal(source.points, src[:400])
+        pairs = _NearestSource(tgt, 0.02, source.tree)
         for step in range(12):
             scale = 0.5**step
             move = Pose(
@@ -204,14 +224,13 @@ class TestModelFrameSearch:
             )
             placed, place = move.apply(placed), compose(move, place)
             placed[400:] = placed[:40]
-            si, ti, d = pairs(placed, place)
+            si, ti, d = pairs(placed[:400], place)
             dd, ii = cKDTree(placed).query(tgt, distance_upper_bound=0.02)
             j = np.flatnonzero(np.isfinite(dd))
             np.testing.assert_array_equal(ti, j)
             np.testing.assert_array_equal(si, lowest[ii[j]])
             np.testing.assert_array_equal(placed[si], placed[ii[j]])
             np.testing.assert_array_equal(d, dd[j])
-
 
     def test_register_follows_the_placement(self, noisy_dataset):
         # the main loop's model-frame searches against a tree built over
@@ -224,13 +243,54 @@ class TestModelFrameSearch:
             start = perturbed(gt, [0.004, -0.003, 0.002], [0.5, 1.0, -0.3], 2.0)
             tgt = ee_subset(frame.cloud).points
             src0 = start.apply(source.points)
-            model_frame = _NearestSource(tgt, cfg.max_correspondence_distance, source)
-            placed = _NearestSource(tgt, cfg.max_correspondence_distance)
+            model_frame = _NearestSource(tgt, cfg.max_correspondence_distance, source.tree)
+            fresh = FreshSearch(tgt, cfg.max_correspondence_distance)
             a = icp._register(src0, model_frame, cfg, *model_frame(src0, start), start)
-            b = icp._register(src0, placed, cfg, *placed(src0))
+            b = icp._register(src0, fresh, cfg, *fresh(src0), start)
             assert a[1:] == b[1:]
             assert a[0].to_dict() == b[0].to_dict()
             assert a[3] > 1
+
+
+class TestIcpSource:
+    def test_repeated_points_count_once(self):
+        # every distinct point paired with its twin is a perfect fit: the
+        # repeats neither enter the fitness denominator nor shrink the pitch
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-0.05, 0.05, size=(300, 3))
+        repeated = np.vstack([pts, pts[:40], pts[100:110]])
+        source = IcpSource(repeated)
+        np.testing.assert_array_equal(source.points, pts)
+        assert source.pitch == IcpSource(pts).pitch
+        res = icp_refine(source, PointCloud(repeated), Pose.identity())
+        assert res.fitness == 1.0
+        assert res.inlier_rmse <= icp.EPS_ABS
+
+    def test_dithered_copy_stays_within_half_the_pitch(self, noisy_dataset):
+        source = prepare_source(noisy_dataset.model)
+        shift = source.dithered - source.points
+        assert source.pitch > 0.0
+        assert np.all(np.abs(shift) <= 0.5 * source.pitch)
+        np.testing.assert_array_equal(source.dithered_tree.data, source.dithered)
+        np.testing.assert_array_equal(prepare_source(noisy_dataset.model).dithered, source.dithered)
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls to each named attribute of the icp module."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(icp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(icp, name, counted(name))
+    return calls
 
 
 class TestPreparedSource:
@@ -255,24 +315,28 @@ class TestPreparedSource:
                 assert a.rmse_history == b.rmse_history
 
     def test_one_calibration_prepares_once(self, noiseless_dataset, monkeypatch):
-        calls = {"voxel_downsample": 0, "_median_spacing": 0, "icp_refine": 0}
-
-        def counted(name):
-            fn = getattr(icp, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(icp, name, counted(name))
+        calls = count_calls(monkeypatch, ["voxel_downsample", "_median_spacing", "icp_refine"])
         result = calibrate(noiseless_dataset, PipelineConfig())
         assert sum(g.frames_used for g in result.groups) == len(noiseless_dataset.frames)
         assert calls["icp_refine"] >= 2 * len(noiseless_dataset.frames)
         assert calls["voxel_downsample"] == 1
         assert calls["_median_spacing"] == 1
+
+    def test_tree_count_does_not_grow_with_frames(self, noisy_dataset, monkeypatch):
+        # the criterion-2 noise, under which every candidate pre-aligns
+        cfg = PipelineConfig(
+            rpt=RptConfig(rotation_sigma_deg=5.0), kpm=KpmConfig(sigma_m=0.005, dropout=0.1)
+        )
+        six = generate_dataset(default_scenario(frames_per_config=1, noise_sigma_1m=0.002))
+        calls = count_calls(monkeypatch, ["cKDTree", "_register", "icp_refine"])
+        trees = []
+        for ds in (six, noisy_dataset):
+            calls.update(dict.fromkeys(calls, 0))
+            calibrate(ds, cfg)
+            assert calls["_register"] > calls["icp_refine"] >= len(ds.frames)
+            trees.append(calls["cKDTree"])
+        assert len(noisy_dataset.frames) == 2 * len(six.frames)
+        assert trees[0] == trees[1]
 
 
 class TestIcpConfig:
@@ -296,7 +360,7 @@ class TestRefineEstimates:
             ("rpt", perturbed(gt, [0.005, 0.0, 0.0], [0, 0, 1], 2.0)),
             ("kpm", perturbed(gt, [0.0, -0.004, 0.003], [1, 0, 0], 1.0)),
         ]
-        out = refine_estimates(ee_subset(frame.cloud), cands, ds.model)
+        out = refine_estimates(ee_subset(frame.cloud), cands, prepare_source(ds.model))
         assert [tag for tag, _ in out] == ["rpt", "kpm"]
         for _, res in out:
             err = np.linalg.norm(res.refined_pose.translation - gt.translation)
@@ -308,7 +372,7 @@ class TestRefineEstimates:
         gt = compose(ds.gt_calibration, frame.t_b_ee)
         far = Pose(gt.rotation, gt.translation + np.array([0.0, 0.0, 0.8]))
         out = refine_estimates(
-            ee_subset(frame.cloud), [("rpt", gt), ("kpm", far)], ds.model
+            ee_subset(frame.cloud), [("rpt", gt), ("kpm", far)], prepare_source(ds.model)
         )
         assert [tag for tag, _ in out] == ["rpt"]
 
@@ -317,7 +381,8 @@ class TestRefineEstimates:
         frame = ds.frames[0]
         gt = compose(ds.gt_calibration, frame.t_b_ee)
         far = Pose(gt.rotation, gt.translation + np.array([0.0, 0.0, 0.8]))
-        out = refine_estimates(ee_subset(frame.cloud), [("rpt", far), ("kpm", far)], ds.model)
+        source = prepare_source(ds.model)
+        out = refine_estimates(ee_subset(frame.cloud), [("rpt", far), ("kpm", far)], source)
         assert out == []
 
 
@@ -332,6 +397,7 @@ def test_refinement_reduces_add_on_noisy_frames(noisy_dataset):
     kp_oracle = NoisyOracleKeypoints(sigma_m=0.005, dropout=0.1)
     rng = np.random.default_rng(23)
     pts = ds.model.surface_cloud.points
+    source = prepare_source(ds.model)
     before = {"rpt": [], "kpm": []}
     after = {"rpt": [], "kpm": []}
     for frame in ds.frames:
@@ -349,7 +415,7 @@ def test_refinement_reduces_add_on_noisy_frames(noisy_dataset):
         )
         if len(preds) >= 4:
             cands.append(("kpm", kpm_pose(preds, ds.model.ref_keypoints)))
-        refined = dict(refine_estimates(ee, cands, ds.model))
+        refined = dict(refine_estimates(ee, cands, source))
         for tag, pose in cands:
             if tag in refined:
                 before[tag].append(_add(pose, true_pose, pts))

@@ -220,6 +220,5 @@ class TestAdaptiveSettings:
         cfg = PipelineConfig()
         exact = resolve_config(noiseless_dataset, cfg).icp
         assert exact.source_voxel_size == 0.0
-        assert exact.source_max_points == 0
         assert exact.max_correspondence_distance == cfg.icp.max_correspondence_distance
         assert resolve_config(noisy_dataset, cfg).icp == cfg.icp
