@@ -87,10 +87,13 @@ def read_ply(path: Path | str) -> PointCloud:
             break
     if n is None or body_at is None:
         raise DatasetError(f"{path} has a malformed PLY header")
-    try:
-        data = np.loadtxt(lines[body_at : body_at + n], dtype=float, ndmin=2)
-    except ValueError as e:
-        raise DatasetError(f"{path} has malformed vertex data: {e}") from e
+    if n == 0:  # an empty cloud; loadtxt would read no lines as shape (0, 1)
+        data = np.zeros((0, 5))
+    else:
+        try:
+            data = np.loadtxt(lines[body_at : body_at + n], dtype=float, ndmin=2)
+        except ValueError as e:
+            raise DatasetError(f"{path} has malformed vertex data: {e}") from e
     if len(data) != n or data.shape[1] != 5:
         raise DatasetError(f"{path} vertex data does not match its header")
     labels, ids = data[:, 3], data[:, 4]

@@ -222,15 +222,6 @@ def invert(p: Pose) -> Pose:
     return Pose(qi, -qi.rotate(p.translation))
 
 
-def transform_points(p: Pose, cloud: PointCloud) -> PointCloud:
-    """Apply a pose to every point; labels and keypoint ids are carried over."""
-    return PointCloud(
-        p.apply(cloud.points),
-        None if cloud.labels is None else cloud.labels.copy(),
-        None if cloud.keypoint_ids is None else cloud.keypoint_ids.copy(),
-    )
-
-
 def rotation_distance(a: Quaternion, b: Quaternion) -> float:
     """Minimum rotation angle in radians between two orientations.
 

@@ -1,4 +1,4 @@
-"""Point-to-point ICP refinement of an initial end-effector pose.
+"""Point-to-plane ICP refinement of an initial end-effector pose.
 
 The model surface cloud (source), placed at the initial pose estimate,
 is iteratively matched against the segmented sensor points (target).
@@ -6,33 +6,27 @@ Pairing is target-driven: every sensor point claims its nearest model
 point within a distance gate.  Model regions the sensor cannot see
 (back faces, self-occluded geometry) never initiate pairs, so they
 cannot drag the fit, and at the true pose every pair is an exact twin.
-Iterations that would increase the inlier RMSE are rejected, so the
-reported objective is non-increasing by construction.
+
+Each step is the linearised point-to-plane fit (Chen & Medioni 1991):
+it minimises the squared distances of the target points to the tangent
+planes of their partners, so the source slides along its own faces.
+The sliding carries the fit past the aliasing between two surfaces
+sampled on regular grids of equal pitch, where point-to-point steps
+lock a millimetre or two from the true pose.  Directions the pairs do
+not constrain (in-plane motion over one flat face) are left still.
+Steps that would increase the point-to-point inlier RMSE are rejected,
+so the reported objective is non-increasing by construction.
 
 The source depends only on the model and the config, so prepare_source
 builds it once per model and every frame and candidate reuses it: the
 distinct thinned model points in the model's own frame (the model
 repeats points on shared edges; each position counts once), their
-KD-tree, and their sampling pitch (median nearest-neighbour distance).
-Each search maps the sensor points back by the inverse of the
-cumulative placement pose and queries that one tree.  Rigid motion
-preserves distances, so the pairs are those of a search over the placed
-source, without a tree built per search.  Pair distances and the gate
-are measured in the sensor frame.
-
-Grid-sampled surfaces need one extra step.  When source and target
-sample the same surface on regular grids of equal pitch, nearest
-neighbour pairing aliases between the two grids and the iteration can
-lock onto a spurious minimum a millimetre or two from the true pose.
-If the starting misalignment exceeds half the source sampling pitch, a
-pre-alignment pass therefore runs first on a dithered copy of the
-source: every point shifted by up to half the pitch in the model frame,
-with a fixed seed, built once beside the source with its own tree.  The
-dither destroys the grid coherence, the pre-alignment lands well
-inside the basin of the exact minimum, and the main loop then snaps to
-it.  The copy is placed and searched exactly as the source is.  The
-pre-alignment pass does not count toward iterations_used and does not
-appear in rmse_history.
+KD-tree, and their PCA normals.  Each search maps the sensor points
+back by the inverse of the cumulative placement pose and queries that
+one tree; each step turns the partners' normals by the same placement.
+Rigid motion preserves distances, so the pairs are those of a search
+over the placed source, without a tree built per search.  Pair
+distances and the gate are measured in the sensor frame.
 """
 
 from __future__ import annotations
@@ -44,13 +38,17 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DegenerateGeometry, NoCorrespondences, TooFewPoints
-from .geometry import PointCloud, Pose, compose, invert, kabsch_fit
+from .errors import ConfigError, NoCorrespondences, TooFewPoints
+from .geometry import PointCloud, Pose, Quaternion, compose, invert
 from .simulator import EEModel
 
 log = logging.getLogger(__name__)
 
 MIN_ICP_POINTS = 10
+
+# each source normal is the least-variance axis of this many nearest
+# source points, the point itself included
+NORMAL_NEIGHBOURS = 12
 
 # absolute RMSE floor, far below any physical signal; keeps relative
 # convergence tests meaningful when the objective sits at floating-point zero
@@ -83,13 +81,22 @@ class IcpConfig:
 
 @dataclass
 class IcpResult:
+    """The outcome of one ICP run.
+
+    converged is True when the run stopped on its own: the inlier RMSE
+    and fitness settled, or the next step would raise the inlier RMSE
+    (the guard stop: on noisy data the plane and point-to-point minima
+    differ by about the noise, and steps between them stop lowering the
+    RMSE).  It is False when the run used up max_iterations or lost
+    every pair.
+    """
+
     refined_pose: Pose
     fitness: float
     inlier_rmse: float
     iterations_used: int
     converged: bool
-    # inlier RMSE after each accepted iteration of the main loop, starting
-    # at the pose the loop begins from (after pre-alignment when it runs)
+    # inlier RMSE at the initial pose, then after each accepted step
     rmse_history: list[float] = field(default_factory=list)
 
 
@@ -120,29 +127,25 @@ class IcpSource:
     """The ICP source of one model, in the model's own frame.
 
     points: the distinct input points in order of first occurrence, tree
-    their KD-tree, pitch their median nearest-neighbour distance.
-    dithered: the points each shifted by up to half the pitch along every
-    axis (fixed seed), and dithered_tree its KD-tree; the pre-alignment
-    registers this copy.
+    their KD-tree, normals their unit PCA normals (see _pca_normals).
     """
 
     def __init__(self, points: np.ndarray):
         _, first = np.unique(points, axis=0, return_index=True)
         self.points = points[np.sort(first)]
         self.tree = cKDTree(self.points)
-        self.pitch = _median_spacing(self.tree)
-        half = 0.5 * self.pitch
-        shift = np.random.default_rng(0).uniform(-half, half, size=self.points.shape)
-        self.dithered = self.points + shift
-        self.dithered_tree = cKDTree(self.dithered)
+        self.normals = _pca_normals(self.tree)
 
 
-def _median_spacing(tree: cKDTree) -> float:
-    """Median nearest-neighbour distance of a tree's points, the sampling pitch."""
-    if tree.n < 2:
-        return 0.0
-    d, _ = tree.query(tree.data, k=2)
-    return float(np.median(d[:, 1]))
+def _pca_normals(tree: cKDTree) -> np.ndarray:
+    """Unit normal of each tree point: the least-variance axis of its
+    NORMAL_NEIGHBOURS nearest neighbours.  The sign is arbitrary, which a
+    squared plane residual does not see."""
+    k = min(NORMAL_NEIGHBOURS, tree.n)
+    _, idx = tree.query(tree.data, k=k)
+    nb = tree.data[idx.reshape(tree.n, k)]
+    nb -= nb.mean(axis=1, keepdims=True)
+    return np.linalg.eigh(nb.transpose(0, 2, 1) @ nb)[1][:, :, 0]
 
 
 def prepare_source(model: EEModel, cfg: IcpConfig | None = None) -> IcpSource:
@@ -198,8 +201,26 @@ def _pair_metrics(si: np.ndarray, d: np.ndarray, n_src: int) -> tuple[float, flo
     return fitness, float(np.sqrt(np.mean(d**2)))
 
 
+def _plane_step(p: np.ndarray, q: np.ndarray, n: np.ndarray) -> Pose:
+    """The rigid step that moves points p onto the planes through q with
+    normals n: sum(((R p + t - q) . n)^2) minimised with R linearised.
+
+    The rotation turns about the pairs' centroid.  lstsq's minimum-norm
+    solution of the 6x6 normal equations leaves still every direction
+    the pairs do not constrain.
+    """
+    c = p.mean(axis=0)
+    a = np.hstack([np.cross(p - c, n), n])
+    b = np.einsum("ij,ij->i", q - p, n)
+    x = np.linalg.lstsq(a.T @ a, a.T @ b, rcond=None)[0]
+    angle = float(np.linalg.norm(x[:3]))
+    turn = Quaternion.from_axis_angle(x[:3], angle) if angle > 1e-12 else Quaternion.identity()
+    return Pose(turn, c + x[3:] - turn.rotate(c))
+
+
 def _register(
     src_pts: np.ndarray,
+    normals: np.ndarray,
     pairs: _NearestSource,
     cfg: IcpConfig,
     si: np.ndarray,
@@ -207,12 +228,12 @@ def _register(
     d: np.ndarray,
     place: Pose,
 ) -> tuple[Pose, float, float, int, bool, list[float]]:
-    """Iterate rigid fit + re-pairing from a precomputed initial pairing.
+    """Iterate point-to-plane steps + re-pairing from a precomputed initial pairing.
 
-    place is the pose that maps the points of pairs.tree onto src_pts.
-    Returns the accumulated incremental correction together with the final
-    pair metrics, the iteration count, the convergence flag and the RMSE
-    history of accepted iterations.
+    place maps the points of pairs.tree, whose normals are given in the
+    tree's frame, onto src_pts.  Returns the accumulated incremental
+    correction, the final pair metrics, the iteration count, the
+    convergence flag (see IcpResult) and the RMSE history.
     """
     tgt = pairs.tgt
     n_src = len(src_pts)
@@ -224,12 +245,7 @@ def _register(
     converged = False
 
     for it in range(1, cfg.max_iterations + 1):
-        if len(si) < 3:
-            break
-        try:
-            step = kabsch_fit(cur[si], tgt[ti])
-        except DegenerateGeometry:
-            break
+        step = _plane_step(cur[si], tgt[ti], place.rotation.rotate(normals[si]))
         cand = step.apply(cur)
         cand_place = compose(step, place)
         si2, ti2, d2 = pairs(cand, cand_place)
@@ -237,6 +253,7 @@ def _register(
             break
         new_fitness, new_rmse = _pair_metrics(si2, d2, n_src)
         if new_rmse > rmse + EPS_ABS:
+            converged = True  # the guard stop, see IcpResult
             break
         cur, place = cand, cand_place
         delta = compose(step, delta)
@@ -280,41 +297,20 @@ def icp_refine(
     if not (np.all(np.isfinite(initial.translation))):
         raise ValueError("initial pose translation is not finite")
 
-    gate = cfg.max_correspondence_distance
     src0 = initial.apply(source.points)
-    pairs = _NearestSource(target.points, gate, source.tree)
+    pairs = _NearestSource(target.points, cfg.max_correspondence_distance, source.tree)
     si, ti, d = pairs(src0, initial)
     if len(si) == 0:
         raise NoCorrespondences(
             "no target point within max_correspondence_distance of the "
             "initial placement; the initialization is too far off"
         )
-    _, rmse0 = _pair_metrics(si, d, n_src)
-
-    # dithered pre-alignment against grid aliasing (see module docstring);
-    # skipped when the start is already closer than half the sampling pitch
-    pre = Pose.identity()
-    start_pts = src0
-    pitch = source.pitch
-    if rmse0 > EPS_ABS and pitch > 0.0 and rmse0 > 0.5 * pitch:
-        dithered = _NearestSource(target.points, gate, source.dithered_tree)
-        jittered = initial.apply(source.dithered)
-        sj, tj, dj = dithered(jittered, initial)
-        if len(sj) >= 3:
-            pre = _register(jittered, dithered, cfg, sj, tj, dj, initial)[0]
-            cand_pts = pre.apply(src0)
-            si2, ti2, d2 = pairs(cand_pts, compose(pre, initial))
-            if len(si2) > 0:
-                start_pts, si, ti, d = cand_pts, si2, ti2, d2
-            else:
-                pre = Pose.identity()
-
     delta, fitness, rmse, iterations_used, converged, history = _register(
-        start_pts, pairs, cfg, si, ti, d, compose(pre, initial)
+        src0, source.normals, pairs, cfg, si, ti, d, initial
     )
 
     return IcpResult(
-        refined_pose=compose(delta, compose(pre, initial)),
+        refined_pose=compose(delta, initial),
         fitness=fitness,
         inlier_rmse=rmse,
         iterations_used=iterations_used,
@@ -332,7 +328,7 @@ def refine_estimates(
     """Run ICP from every available initial pose candidate.
 
     `source` is the model's prepared IcpSource.  Candidates that fail (no
-    correspondences, degenerate fits) are logged and skipped; with no
+    correspondences, too few points) are logged and skipped; with no
     survivors the caller drops the frame.
     """
     cfg = cfg or IcpConfig()
@@ -340,6 +336,6 @@ def refine_estimates(
     for tag, pose in candidates:
         try:
             out.append((tag, icp_refine(source, ee_cloud, pose, cfg)))
-        except (NoCorrespondences, DegenerateGeometry, TooFewPoints) as e:
+        except (NoCorrespondences, TooFewPoints) as e:
             log.warning("ICP for %s candidate failed: %s", tag, e)
     return out

@@ -246,6 +246,15 @@ class TestCalibrate:
         )
         assert code == 3
 
+    def test_empty_frame_skipped(self, workdir, dataset_dir, capsys):
+        ds = copy_dataset(dataset_dir, workdir / "ds_empty_frame")
+        write_ply(ds / "frame_00000.ply", PointCloud(np.zeros((0, 3))))
+        out = workdir / "cal_empty_frame.json"
+        assert main(["calibrate", str(ds), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["rejected_frames"] == 1
+        assert main(["estimate", str(ds), "--frame", "0"]) == 5
+        assert "frame 0 unusable: segmentation failed" in capsys.readouterr().err
+
     def test_no_ground_truth_means_no_usable_frames_exit_4(self, blind_dataset_dir):
         # oracle predictors cannot run without the true poses, so every
         # frame comes back empty and calibration has nothing to average

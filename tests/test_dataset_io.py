@@ -30,6 +30,13 @@ class TestPly:
         assert np.array_equal(back.labels, cloud.labels)
         assert np.array_equal(back.keypoint_ids, cloud.keypoint_ids)
 
+    def test_empty_cloud_round_trip(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        write_ply(path, PointCloud(np.zeros((0, 3))))
+        back = read_ply(path)
+        assert back.points.shape == (0, 3)
+        assert back.labels.shape == back.keypoint_ids.shape == (0,)
+
     def test_rejects_non_ply(self, tmp_path):
         p = tmp_path / "x.ply"
         p.write_text("not a ply\n")

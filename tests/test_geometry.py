@@ -17,7 +17,6 @@ from depthcal.geometry import (
     kabsch_fit,
     quaternion_average,
     rotation_distance,
-    transform_points,
 )
 
 from conftest import assert_pose_close, random_pose, random_quaternion
@@ -101,19 +100,6 @@ class TestPose:
         for _ in range(100):
             p = random_pose(rng)
             assert np.allclose(invert(p).matrix(), np.linalg.inv(p.matrix()), atol=1e-10)
-
-    def test_transform_points_preserves_metadata(self):
-        rng = np.random.default_rng(6)
-        cloud = PointCloud(
-            rng.normal(size=(5, 3)),
-            labels=np.array([0, 1, 2, 2, 0]),
-            keypoint_ids=np.array([-1, -1, 0, 3, -1]),
-        )
-        p = random_pose(rng)
-        out = transform_points(p, cloud)
-        assert np.array_equal(out.labels, cloud.labels)
-        assert np.array_equal(out.keypoint_ids, cloud.keypoint_ids)
-        assert np.allclose(out.points, p.apply(cloud.points))
 
     def test_json_round_trip(self):
         p = random_pose(np.random.default_rng(9))
