@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, InvalidDimensions
+from .errors import DatasetError, DegenerateGeometry, InvalidDimensions
 from .geometry import LABEL_ARM, LABEL_BACKGROUND, LABEL_EE, PointCloud, Pose
 from .simulator import Dataset, EEModelParams, Frame, build_ee_model
 
@@ -157,7 +157,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         gt = manifest.get("gt_calibration")
         gt_calibration = None if gt is None else Pose.from_dict(gt)
         model = build_ee_model(EEModelParams.from_dict(manifest["ee_model"]))
-    except (KeyError, TypeError, ValueError, InvalidDimensions) as e:
+    except (KeyError, TypeError, ValueError, InvalidDimensions, DegenerateGeometry) as e:
         raise DatasetError(f"{manifest_path} is malformed: {type(e).__name__}: {e}") from e
     return Dataset(
         frames=[Frame(read_ply(path), config_id, t_b_ee) for path, config_id, t_b_ee in records],

@@ -167,7 +167,10 @@ class Pose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
-        return cls(Quaternion.from_array(d["q"]), np.asarray(d["t"], dtype=float))
+        q, t = np.asarray(d["q"], dtype=float), np.asarray(d["t"], dtype=float)
+        if not (np.isfinite(q).all() and np.isfinite(t).all()):
+            raise ValueError(f"pose has a non-finite value: {d}")
+        return cls(Quaternion.from_array(q), t)
 
 
 @dataclass

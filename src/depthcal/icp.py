@@ -137,15 +137,22 @@ class IcpSource:
         self.normals = _pca_normals(self.tree)
 
 
+def local_pca(tree: cKDTree, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of the scatter of
+    each query's NORMAL_NEIGHBOURS nearest tree points: the first pair is
+    their best-fit plane's normal and sum of squared distances to it."""
+    k = min(NORMAL_NEIGHBOURS, tree.n)
+    _, idx = tree.query(queries, k=k)
+    nb = tree.data[idx.reshape(len(queries), k)]
+    nb -= nb.mean(axis=1, keepdims=True)
+    return np.linalg.eigh(nb.transpose(0, 2, 1) @ nb)
+
+
 def _pca_normals(tree: cKDTree) -> np.ndarray:
     """Unit normal of each tree point: the least-variance axis of its
     NORMAL_NEIGHBOURS nearest neighbours.  The sign is arbitrary, which a
     squared plane residual does not see."""
-    k = min(NORMAL_NEIGHBOURS, tree.n)
-    _, idx = tree.query(tree.data, k=k)
-    nb = tree.data[idx.reshape(tree.n, k)]
-    nb -= nb.mean(axis=1, keepdims=True)
-    return np.linalg.eigh(nb.transpose(0, 2, 1) @ nb)[1][:, :, 0]
+    return local_pca(tree, tree.data)[1][:, :, 0]
 
 
 def prepare_source(model: EEModel, cfg: IcpConfig | None = None) -> IcpSource:

@@ -8,8 +8,8 @@ FrameEstimate records produced here.
 
 PipelineConfig gathers the stage settings; each stage's section
 dataclass lives next to the stage, and the CLI loads the JSON config
-file straight into them.  resolve_config adapts extent trimming and
-the ICP source resolution to the dataset's noise.
+file straight into them.  resolve_config picks the ICP source
+resolution from one measurement of the dataset's points.
 
 Randomness is reproducible per frame: every frame derives its own
 generator streams from (seed, frame index), so results do not depend
@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .calibration import CalibrationConfig, sanity_check
 from .errors import (
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .geometry import LABEL_EE, PointCloud, Pose, compose
 from .icp import IcpConfig, IcpResult, IcpSource, prepare_source, refine_estimates
+from .icp import NORMAL_NEIGHBOURS, local_pca
 from .kpm import KpmConfig, NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
 from .rpt import NoisyOracleRotation, RptConfig, rpt_pose
 from .segmentation import (
@@ -99,30 +101,31 @@ class FrameEstimate:
         return self.skipped_reason is None and bool(self.estimates)
 
 
-def _sensor_noisy(dataset: Dataset) -> bool:
-    cam = dataset.scenario.get("camera", {}) if dataset.scenario else {}
-    return float(cam.get("noise_sigma_1m", 0.0)) > 0 or float(cam.get("dropout", 0.0)) > 0
+# median local plane residual (m) below which the points count as exact:
+# noiseless renders read under 1 nm, sensor noise of 10 um about 9 um
+EXACT_SURFACE_RMS = 1e-6
 
 
 def resolve_config(dataset: Dataset, cfg: PipelineConfig) -> PipelineConfig:
-    """cfg with extent trimming and ICP source resolution keyed on noise.
+    """cfg with the ICP source resolution keyed on the measured sensor noise.
 
-    Trimming guards the axis extents against stray points.  A dataset
-    rendered without sensor noise or dropout, segmented without label
-    noise, has none, and trimming is skipped so the extents stay exact.
-
-    A noiseless cloud reproduces model surface points exactly, so
-    registration against the full-resolution model is both possible and
-    required for exactness.  A noisy cloud is noise-limited; the voxel
-    thinned source from the config is just as accurate and much faster.
+    The measurement samples about 256 points of the first frame with at
+    least NORMAL_NEIGHBOURS finite points and takes, for each, the RMS
+    distance of its NORMAL_NEIGHBOURS nearest neighbours to their
+    best-fit plane.  Below EXACT_SURFACE_RMS in the median, the cloud
+    reproduces model surface points exactly, so registration against the
+    full-resolution model is both possible and required for exactness.
+    Otherwise the cloud is noise-limited; the voxel-thinned source from
+    the config is just as accurate and much faster.
     """
-    sensor_noisy = _sensor_noisy(dataset)
-    seg, rpt, icp = cfg.segmentation, cfg.rpt, cfg.icp
-    if not (sensor_noisy or seg.flip_probability > 0 or seg.speckle_rate > 0):
-        rpt = replace(rpt, trim_fraction=0.0)
-    if not sensor_noisy:
-        icp = replace(icp, source_voxel_size=0.0)
-    return replace(cfg, rpt=rpt, icp=icp)
+    for frame in dataset.frames:
+        pts = frame.cloud.points[np.isfinite(frame.cloud.points).all(axis=1)]
+        if len(pts) >= NORMAL_NEIGHBOURS:
+            least = local_pca(cKDTree(pts), pts[:: max(1, len(pts) // 256)])[0][:, 0]
+            if np.median(np.sqrt(np.abs(least) / NORMAL_NEIGHBOURS)) < EXACT_SURFACE_RMS:
+                return replace(cfg, icp=replace(cfg.icp, source_voxel_size=0.0))
+            break
+    return cfg
 
 
 def estimate_frame(

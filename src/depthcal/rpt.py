@@ -33,8 +33,7 @@ class RptConfig:
 
     # NoisyOracleRotation's angular noise
     rotation_sigma_deg: float = 0.0
-    # extent trimming of rpt_pose; pipeline.resolve_config zeroes it on
-    # noiseless data
+    # extent trimming of rpt_pose, on every dataset (see rpt_translation)
     trim_fraction: float = 0.002
 
     def __post_init__(self):
@@ -101,8 +100,6 @@ def rotate_back(ee_cloud: PointCloud, r_pred: Quaternion) -> PointCloud:
 
 def _extent(values: np.ndarray, trim_fraction: float) -> tuple[float, float]:
     """Min/max after dropping the trim_fraction most extreme points per side."""
-    if trim_fraction <= 0.0:
-        return float(values.min()), float(values.max())
     k = int(math.ceil(trim_fraction * len(values)))
     k = min(k, (len(values) - 1) // 2)
     s = np.sort(values)
@@ -120,8 +117,9 @@ def rpt_translation(
 
     trim_fraction > 0 discards that fraction of the most extreme points
     on each side of every axis before reading the extent, so a stray
-    noise point cannot shift the estimate by itself.  Leave it at 0 for
-    noise-free input, where the extremes are exact.
+    noise point cannot shift the estimate by itself.  On noise-free input
+    an extreme face holds many points at its exact coordinate, so the
+    trimmed extent is the untrimmed one.
     """
     pts = np.asarray(rotated_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:

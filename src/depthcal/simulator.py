@@ -107,16 +107,7 @@ class CameraModel:
             raise InvalidDimensions("hidden-point-removal parameters must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "pose": self.pose.to_dict(),
-            "hfov_deg": self.hfov_deg,
-            "vfov_deg": self.vfov_deg,
-            "noise_sigma_1m": self.noise_sigma_1m,
-            "noise_exponent": self.noise_exponent,
-            "dropout": self.dropout,
-            "hpr_angular_tol_deg": self.hpr_angular_tol_deg,
-            "hpr_depth_margin": self.hpr_depth_margin,
-        }
+        return {**vars(self), "pose": self.pose.to_dict()}
 
 
 @dataclass
@@ -189,13 +180,7 @@ class EEModelParams:
     origin_inset: float = 0.015
 
     def to_dict(self) -> dict:
-        return {
-            "body": list(self.body),
-            "finger": list(self.finger),
-            "finger_gap": self.finger_gap,
-            "density": self.density,
-            "origin_inset": self.origin_inset,
-        }
+        return {**vars(self), "body": list(self.body), "finger": list(self.finger)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EEModelParams":

@@ -255,6 +255,30 @@ class TestCalibrate:
         assert main(["estimate", str(ds), "--frame", "0"]) == 5
         assert "frame 0 unusable: segmentation failed" in capsys.readouterr().err
 
+    def test_noise_regime_read_from_the_points(self, workdir, capsysbinary):
+        # a noisy dataset calibrates the same without the simulator's
+        # record of how it was rendered
+        cfg = workdir / "noisy_small.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "simulator": {"frames_per_config": 1, "noise_sigma_1m": 0.002, "dropout": 0.1},
+                    "rpt": {"rotation_sigma_deg": 5.0},
+                    "kpm": {"sigma_m": 0.005, "dropout": 0.1},
+                }
+            )
+        )
+        made = workdir / "ds_noisy"
+        assert main(["simulate", "--config", str(cfg), "--output", str(made)]) == 0
+        bare = copy_dataset(made, workdir / "ds_noisy_bare", lambda m: m.pop("scenario"))
+        printed = []
+        for ds in (made, bare):
+            capsysbinary.readouterr()
+            assert main(["calibrate", str(ds), "--config", str(cfg)]) == 0
+            printed.append(capsysbinary.readouterr().out)
+        assert b'"calibration"' in printed[0]
+        assert printed[1] == printed[0]
+
     def test_no_ground_truth_means_no_usable_frames_exit_4(self, blind_dataset_dir):
         # oracle predictors cannot run without the true poses, so every
         # frame comes back empty and calibration has nothing to average
@@ -368,6 +392,31 @@ class TestMalformedManifest:
             dataset_dir, workdir / "ds_bad_body", lambda m: m["ee_model"].update(body=-1.0)
         )
         assert main(["estimate", str(ds), "--frame", "0"]) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["frames"][0]["t_b_ee"]["t"].__setitem__(0, float("nan")),
+            lambda m: m["frames"][0]["t_b_ee"]["q"].__setitem__(1, float("inf")),
+            lambda m: m["frames"][0]["t_b_ee"].update(q=[0.0, 0.0, 0.0, 0.0]),
+            lambda m: m["gt_calibration"]["t"].__setitem__(2, float("-inf")),
+            lambda m: m["gt_calibration"]["q"].__setitem__(0, float("nan")),
+            lambda m: m["gt_calibration"].update(q=[0.0, 0.0, 0.0, 0.0]),
+        ],
+        ids=[
+            "t_b_ee_t_nan",
+            "t_b_ee_q_inf",
+            "t_b_ee_q_zero",
+            "gt_calibration_t_inf",
+            "gt_calibration_q_nan",
+            "gt_calibration_q_zero",
+        ],
+    )
+    def test_bad_pose_value_exit_3(self, tmp_path, dataset_dir, capsys, edit):
+        ds = copy_dataset(dataset_dir, tmp_path / "ds", edit)
+        assert main(["calibrate", str(ds)]) == 3
+        assert main(["evaluate", str(ds)]) == 3
         assert "manifest.json" in capsys.readouterr().err
 
     def test_non_object_manifest_exit_3(self, workdir, dataset_dir, capsys):

@@ -18,7 +18,6 @@ from depthcal.pipeline import (
     resolve_config,
 )
 from depthcal.rpt import RptConfig
-from depthcal.segmentation import SegmentationConfig
 from depthcal.simulator import Frame, default_scenario, generate_dataset
 
 
@@ -207,18 +206,27 @@ class TestNoisyRun:
 
 
 class TestAdaptiveSettings:
-    def test_trim_only_when_noisy(self, noiseless_dataset, noisy_dataset):
-        cfg = PipelineConfig()
-        assert resolve_config(noiseless_dataset, cfg).rpt.trim_fraction == 0.0
-        assert resolve_config(noisy_dataset, cfg).rpt == cfg.rpt
-        speckled = dataclasses.replace(cfg, segmentation=SegmentationConfig(speckle_rate=0.01))
-        assert resolve_config(noiseless_dataset, speckled).rpt == speckled.rpt
-
+    # the noise regime is measured on the points: neither fixture keeps
+    # the simulator's record of how it was rendered
     def test_icp_source_resolution_keyed_on_sensor_noise(
         self, noiseless_dataset, noisy_dataset
     ):
         cfg = PipelineConfig()
-        exact = resolve_config(noiseless_dataset, cfg).icp
-        assert exact.source_voxel_size == 0.0
-        assert exact.max_correspondence_distance == cfg.icp.max_correspondence_distance
-        assert resolve_config(noisy_dataset, cfg).icp == cfg.icp
+        exact = resolve_config(dataclasses.replace(noiseless_dataset, scenario={}), cfg)
+        assert exact.icp.source_voxel_size == 0.0
+        assert exact.icp.max_correspondence_distance == cfg.icp.max_correspondence_distance
+        assert exact.rpt == cfg.rpt
+        assert resolve_config(dataclasses.replace(noisy_dataset, scenario={}), cfg) == cfg
+
+    def test_frames_without_enough_points_defer_to_the_next(
+        self, noiseless_dataset, noisy_dataset
+    ):
+        cfg = PipelineConfig()
+        empty = Frame(PointCloud(np.zeros((0, 3))), config_id=0, t_b_ee=Pose.identity())
+        nan = Frame(PointCloud(np.full((50, 3), np.nan)), config_id=0, t_b_ee=Pose.identity())
+        for ds, voxel in ((noiseless_dataset, 0.0), (noisy_dataset, cfg.icp.source_voxel_size)):
+            ds = dataclasses.replace(ds, frames=[empty, nan, *ds.frames], scenario={})
+            assert resolve_config(ds, cfg).icp.source_voxel_size == voxel
+        # nothing to measure: the config stands
+        nothing = dataclasses.replace(noiseless_dataset, frames=[empty, nan], scenario={})
+        assert resolve_config(nothing, cfg) == cfg

@@ -100,6 +100,16 @@ class TestRptTranslation:
         assert np.linalg.norm(t_trim - pose.translation) < 1e-3
         assert np.linalg.norm(t_raw - pose.translation) > 0.05
 
+    def test_trim_changes_nothing_on_noiseless_views(self, noiseless_dataset):
+        # each extreme face of a noiseless view holds many points at its
+        # exact coordinate, so trimming may apply to every dataset
+        ds = noiseless_dataset
+        for frame in ds.frames:
+            rot = compose(ds.gt_calibration, frame.t_b_ee).rotation
+            args = (rotate_back(ee_subset(frame.cloud), rot).points, ds.model.rpt_descriptor, rot)
+            trimmed = rpt_translation(*args, trim_fraction=0.002)
+            np.testing.assert_allclose(trimmed, rpt_translation(*args), rtol=0, atol=1e-12)
+
     def test_missing_chunk_shifts_translation(self, model):
         # everything within 2.5 cm of the front face occluded
         pts = model.surface_cloud.points
