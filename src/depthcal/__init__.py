@@ -2,7 +2,7 @@
 
 Single-frame end-effector pose estimation from segmented depth points
 (a rotate-and-measure translation route and a keypoint-matching route),
-point-to-point ICP refinement, and robust multi-frame aggregation into
+point-to-plane ICP refinement, and robust multi-frame aggregation into
 a camera-to-base transform.  A synthetic depth-scene simulator provides
 ground truth for end-to-end validation.
 """

@@ -26,6 +26,9 @@ from .geometry import (
 )
 
 MAD_SCALE = 0.6745  # normal-consistency constant of the modified Z-score
+# below this MAD a sample is treated as constant, and any deviation beyond
+# it is an outlier
+MAD_ZERO_EPSILON = 1e-6
 
 
 @dataclass
@@ -36,22 +39,12 @@ class CalibrationConfig:
     min_ee_points: int = 300
     min_bbox_diagonal: float = 0.04
     modified_zscore_threshold: float = 3.5
-    # below this MAD the sample is treated as constant and any deviation
-    # beyond it is an outlier
-    mad_zero_epsilon: float = 1e-6
-    # how per-axis translation flags combine into one translation verdict:
-    # "union" rejects a pose flagged on any axis, "intersect" only on all
-    translation_outlier_mode: str = "union"
 
     def __post_init__(self):
         if self.min_ee_points <= 0 or self.min_bbox_diagonal <= 0:
             raise ConfigError("sanity thresholds must be positive")
         if self.modified_zscore_threshold <= 0:
             raise ConfigError("modified_zscore_threshold must be positive")
-        if self.mad_zero_epsilon <= 0:
-            raise ConfigError("mad_zero_epsilon must be positive")
-        if self.translation_outlier_mode not in ("union", "intersect"):
-            raise ConfigError("translation_outlier_mode must be 'union' or 'intersect'")
 
 
 @dataclass
@@ -84,7 +77,7 @@ def mad_outlier_mask(values, cfg: CalibrationConfig | None = None) -> np.ndarray
     """Modified Z-score outliers (True = outlier).
 
     M_i = 0.6745 (x_i - median) / MAD; |M_i| above the threshold flags
-    the value.  When the MAD collapses below mad_zero_epsilon the sample
+    the value.  When the MAD collapses below MAD_ZERO_EPSILON the sample
     is essentially constant and any deviation beyond the epsilon flags.
     """
     cfg = cfg or CalibrationConfig()
@@ -93,8 +86,8 @@ def mad_outlier_mask(values, cfg: CalibrationConfig | None = None) -> np.ndarray
         raise EmptyInput("cannot screen an empty sample for outliers")
     dev = np.abs(x - np.median(x))
     mad = float(np.median(dev))
-    if mad < cfg.mad_zero_epsilon:
-        return dev > cfg.mad_zero_epsilon
+    if mad < MAD_ZERO_EPSILON:
+        return dev > MAD_ZERO_EPSILON
     return MAD_SCALE * dev / mad > cfg.modified_zscore_threshold
 
 
@@ -121,9 +114,9 @@ class AggregateResult:
 def aggregate(poses: Sequence[Pose], cfg: CalibrationConfig | None = None) -> AggregateResult:
     """Average poses after removing translation and rotation outliers.
 
-    Translations are screened per axis and the per-axis flags combined
-    per cfg.translation_outlier_mode; rotations are screened by distance
-    to the mean orientation.  A pose flagged by either screen is removed.
+    Translations are screened per axis and rotations by distance to the
+    mean orientation.  A pose flagged on any translation axis or by the
+    rotation screen is removed.
     Survivors are combined by arithmetic mean translation and eigenvector
     quaternion averaging.  If screening removes everything, all inputs
     are averaged and the result is flagged as a fallback.
@@ -133,12 +126,9 @@ def aggregate(poses: Sequence[Pose], cfg: CalibrationConfig | None = None) -> Ag
         raise EmptyInput("cannot aggregate zero poses")
     t = np.array([p.translation for p in poses])
     quats = [p.rotation for p in poses]
-    axis_masks = [mad_outlier_mask(t[:, axis], cfg) for axis in range(3)]
-    if cfg.translation_outlier_mode == "union":
-        bad = axis_masks[0] | axis_masks[1] | axis_masks[2]
-    else:
-        bad = axis_masks[0] & axis_masks[1] & axis_masks[2]
-    bad |= rotation_outlier_mask(quats, cfg)
+    bad = rotation_outlier_mask(quats, cfg)
+    for axis in range(3):
+        bad |= mad_outlier_mask(t[:, axis], cfg)
     keep = ~bad
     fallback = not keep.any()
     if fallback:

@@ -47,11 +47,6 @@ def round_floats(obj):
     return obj
 
 
-def dump_json(obj, path: Path | str) -> None:
-    text = json.dumps(round_floats(obj), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
-
-
 def json_bytes(obj) -> bytes:
     return (json.dumps(round_floats(obj), indent=2, sort_keys=True) + "\n").encode()
 
@@ -129,7 +124,7 @@ def save_dataset(dataset: Dataset, directory: Path | str) -> Path:
         "warnings": dataset.warnings,
         "frames": records,
     }
-    dump_json(manifest, directory / MANIFEST_NAME)
+    (directory / MANIFEST_NAME).write_bytes(json_bytes(manifest))
     return directory
 
 

@@ -53,6 +53,10 @@ NORMAL_NEIGHBOURS = 12
 # absolute RMSE floor, far below any physical signal; keeps relative
 # convergence tests meaningful when the objective sits at floating-point zero
 EPS_ABS = 1e-12
+# a run has converged once a step changes the inlier RMSE and the fitness
+# by less than these fractions of their values
+RELATIVE_RMSE_EPSILON = 1e-6
+RELATIVE_FITNESS_EPSILON = 1e-6
 
 
 @dataclass
@@ -63,8 +67,6 @@ class IcpConfig:
     enabled: bool = True
     max_correspondence_distance: float = 0.02
     max_iterations: int = 50
-    relative_rmse_epsilon: float = 1e-6
-    relative_fitness_epsilon: float = 1e-6
     # voxel thinning of the model source (prepare_source); 0 keeps every point
     source_voxel_size: float = 0.005
 
@@ -73,8 +75,6 @@ class IcpConfig:
             raise ConfigError("max_correspondence_distance must be positive")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if self.relative_rmse_epsilon <= 0 or self.relative_fitness_epsilon <= 0:
-            raise ConfigError("convergence epsilons must be positive")
         if self.source_voxel_size < 0:
             raise ConfigError("source_voxel_size must be non-negative")
 
@@ -238,14 +238,14 @@ def _register(
     """Iterate point-to-plane steps + re-pairing from a precomputed initial pairing.
 
     place maps the points of pairs.tree, whose normals are given in the
-    tree's frame, onto src_pts.  Returns the accumulated incremental
-    correction, the final pair metrics, the iteration count, the
-    convergence flag (see IcpResult) and the RMSE history.
+    tree's frame, onto src_pts.  Returns the final placement (each
+    accepted step composed onto place), the final pair metrics, the
+    iteration count, the convergence flag (see IcpResult) and the RMSE
+    history.
     """
     tgt = pairs.tgt
     n_src = len(src_pts)
     cur = src_pts
-    delta = Pose.identity()
     fitness, rmse = _pair_metrics(si, d, n_src)
     history = [rmse]
     iterations_used = 0
@@ -263,12 +263,9 @@ def _register(
             converged = True  # the guard stop, see IcpResult
             break
         cur, place = cand, cand_place
-        delta = compose(step, delta)
         iterations_used = it
-        rmse_stable = abs(new_rmse - rmse) < max(cfg.relative_rmse_epsilon * rmse, EPS_ABS)
-        fit_stable = abs(new_fitness - fitness) < cfg.relative_fitness_epsilon * max(
-            fitness, 1.0
-        )
+        rmse_stable = abs(new_rmse - rmse) < max(RELATIVE_RMSE_EPSILON * rmse, EPS_ABS)
+        fit_stable = abs(new_fitness - fitness) < RELATIVE_FITNESS_EPSILON * max(fitness, 1.0)
         fitness, rmse = new_fitness, new_rmse
         history.append(rmse)
         si, ti = si2, ti2
@@ -279,7 +276,7 @@ def _register(
             converged = True
             break
 
-    return delta, fitness, rmse, iterations_used, converged, history
+    return place, fitness, rmse, iterations_used, converged, history
 
 
 def icp_refine(
@@ -290,9 +287,8 @@ def icp_refine(
 ) -> IcpResult:
     """Refine `initial` so the source, placed there, matches the target cloud.
 
-    The result composes the accumulated incremental correction with
-    `initial`, so applying refined_pose to source.points reproduces the
-    final internal source placement.
+    refined_pose is the final placement of source.points: `initial` with
+    every accepted step composed onto it.
     """
     cfg = cfg or IcpConfig()
     n_src = len(source.points)
@@ -312,12 +308,12 @@ def icp_refine(
             "no target point within max_correspondence_distance of the "
             "initial placement; the initialization is too far off"
         )
-    delta, fitness, rmse, iterations_used, converged, history = _register(
+    place, fitness, rmse, iterations_used, converged, history = _register(
         src0, source.normals, pairs, cfg, si, ti, d, initial
     )
 
     return IcpResult(
-        refined_pose=compose(delta, initial),
+        refined_pose=place,
         fitness=fitness,
         inlier_rmse=rmse,
         iterations_used=iterations_used,

@@ -155,7 +155,23 @@ class HalfspaceCut:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HalfspaceCut":
-        return cls(int(d["axis"]), float(d["threshold"]), bool(d.get("remove_above", True)))
+        """Build from a JSON object; a missing key raises KeyError, any
+        other bad value ValueError naming its key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"occlusion must be an object or null, got {d!r}")
+        unknown = sorted(set(d) - {"axis", "threshold", "remove_above"})
+        if unknown:
+            raise ValueError(f"unknown occlusion key: occlusion.{unknown[0]}")
+        axis, threshold = d["axis"], d["threshold"]
+        remove_above = d.get("remove_above", True)
+        # type() rather than isinstance(): JSON true and false are not numbers
+        if type(axis) is not int or axis not in (0, 1, 2):
+            raise ValueError(f"occlusion.axis must be 0, 1 or 2, got {axis!r}")
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise ValueError(f"occlusion.threshold must be a finite number, got {threshold!r}")
+        if not isinstance(remove_above, bool):
+            raise ValueError(f"occlusion.remove_above must be a boolean, got {remove_above!r}")
+        return cls(axis, float(threshold), remove_above)
 
 
 @dataclass(frozen=True)
@@ -553,7 +569,6 @@ class SimulatorConfig:
     noise_exponent: float = CameraModel.noise_exponent
     dropout: float = CameraModel.dropout
     frames_per_config: int = 10
-    with_background: bool = True
     # a HalfspaceCut, or its dict {"axis": 0|1|2, "threshold": meters,
     # "remove_above": bool}
     occlusion: HalfspaceCut | None = None
@@ -583,22 +598,20 @@ def default_scenario(seed: int = 0, **settings) -> Scenario:
         t_c_ee = Pose(Quaternion.from_axis_angle(axis, math.radians(ang)), np.asarray(t))
         configs.append(RobotConfig(i, compose(cam_in_base, t_c_ee)))
 
-    background = []
-    if sim.with_background:
-        background = [
-            # Table top under the workspace.
-            BackgroundPlane(
-                np.array([-0.10, -0.45, 0.0]),
-                np.array([0.90, 0.0, 0.0]),
-                np.array([0.0, 0.90, 0.0]),
-            ),
-            # Wall behind the robot.
-            BackgroundPlane(
-                np.array([-0.30, -0.45, 0.0]),
-                np.array([0.0, 0.90, 0.0]),
-                np.array([0.0, 0.0, 0.90]),
-            ),
-        ]
+    background = [
+        # Table top under the workspace.
+        BackgroundPlane(
+            np.array([-0.10, -0.45, 0.0]),
+            np.array([0.90, 0.0, 0.0]),
+            np.array([0.0, 0.90, 0.0]),
+        ),
+        # Wall behind the robot.
+        BackgroundPlane(
+            np.array([-0.30, -0.45, 0.0]),
+            np.array([0.0, 0.90, 0.0]),
+            np.array([0.0, 0.0, 0.90]),
+        ),
+    ]
 
     camera = CameraModel(
         noise_sigma_1m=sim.noise_sigma_1m, noise_exponent=sim.noise_exponent, dropout=sim.dropout

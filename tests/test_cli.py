@@ -94,6 +94,30 @@ class TestConfigHandling:
         assert "labeling" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            pytest.param(dotted, value, id=dotted)
+            for dotted, value in [
+                ("calibration.mad_zero_epsilon", 1e-6),
+                ("calibration.translation_outlier_mode", "union"),
+                ("icp.relative_rmse_epsilon", 1e-6),
+                ("icp.relative_fitness_epsilon", 1e-6),
+                ("simulator.with_background", True),
+            ]
+        ],
+    )
+    def test_removed_keys_rejected_exit_2(self, workdir, capsys, dotted, value):
+        # each value is the key's former default, so only the key is wrong
+        section, key = dotted.split(".")
+        path = workdir / "removed_key.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        out = workdir / "removed_key_ds"
+        code = main(["simulate", "--config", str(path), "--output", str(out)])
+        assert code == 2
+        assert dotted in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "bad",
         [
             {"segmentation": {"linkage_distance": 0}},
@@ -121,8 +145,15 @@ class TestConfigHandling:
             {"kpm": {"sigma_m": True}},
             {"evaluation": {"add_thresholds": 0.01}},
             {"evaluation": {"write_csv": 1}},
-            {"calibration": {"translation_outlier_mode": 3}},
             {"simulator": {"frames_per_config": "5"}},
+            {"simulator": {"occlusion": {"axis": 5, "threshold": 0.0}}},
+            {"simulator": {"occlusion": {"axis": -1, "threshold": 0.0}}},
+            {"simulator": {"occlusion": {"axis": 1.7, "threshold": 0.0}}},
+            {"simulator": {"occlusion": {"axis": True, "threshold": 0.0}}},
+            {"simulator": {"occlusion": {"threshold": "x", "axis": 0}}},
+            {"simulator": {"occlusion": {"remove_above": "no", "axis": 0, "threshold": 0.0}}},
+            {"simulator": {"occlusion": {"bogus": 1, "axis": 0, "threshold": 0.0}}},
+            {"simulator": {"occlusion": 5}},
         ],
         ids=[
             "linkage_distance_zero",
@@ -150,8 +181,15 @@ class TestConfigHandling:
             "kpm_sigma_bool",
             "add_thresholds_number",
             "write_csv_integer",
-            "outlier_mode_integer",
             "frames_per_config_string",
+            "occlusion_axis_out_of_range",
+            "occlusion_axis_negative",
+            "occlusion_axis_fraction",
+            "occlusion_axis_bool",
+            "occlusion_threshold_string",
+            "occlusion_remove_above_string",
+            "occlusion_unknown_key",
+            "occlusion_not_object",
         ],
     )
     def test_out_of_range_value_exit_2(self, workdir, dataset_dir, capsys, bad):

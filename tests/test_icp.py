@@ -405,8 +405,6 @@ class TestIcpConfig:
         with pytest.raises(ConfigError):
             IcpConfig(max_iterations=0)
         with pytest.raises(ConfigError):
-            IcpConfig(relative_rmse_epsilon=0.0)
-        with pytest.raises(ConfigError):
             IcpConfig(source_voxel_size=-1.0)
 
 
