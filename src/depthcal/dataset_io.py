@@ -58,7 +58,8 @@ def write_ply(path: Path | str, cloud: PointCloud) -> None:
     table = np.column_stack([cloud.points, labels.astype(float), ids.astype(float)])
     with open(path, "w") as fh:
         fh.write(_PLY_HEADER.format(n=n))
-        np.savetxt(fh, table, fmt="%.9f %.9f %.9f %d %d")
+        # one formatting call for the whole body: a per-row loop is several times slower
+        fh.write(("%.9f %.9f %.9f %d %d\n" * n) % tuple(table.ravel().tolist()))
 
 
 def read_ply(path: Path | str) -> PointCloud:

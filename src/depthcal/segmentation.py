@@ -109,16 +109,25 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     Voxel contraction keeps this near O(n log n) on dense clouds: with
     voxel edge radius/sqrt(3) any two points sharing a voxel are within
     radius (the cell diagonal equals the radius), so point components
-    equal components of the voxel graph.  Two voxels connect iff their
-    point sets come within radius; candidate pairs are screened with
-    bounding-box distance bounds, and the survivors are settled by
-    nearest-neighbour queries against one KD-tree per voxel.
+    equal components of the voxel graph.  Voxels are keyed by the rank of
+    their cell coordinate on each axis, which keeps the lexicographic
+    voxel order and bounds the key space by n**3 however far apart the
+    points lie.
+
+    Two voxels connect iff their point sets come within radius.  Candidate
+    pairs come from the voxel centres; a bounding-box gap beyond radius
+    rules a pair out.  Two screens settle the rest:
+    - representatives: each voxel's member nearest its box centre; a pair
+      whose representatives lie within radius is linked;
+    - components first: of the pairs still undecided, only those whose
+      voxels lie in different components of the links found so far can
+      change the partition.  Only these are settled by nearest-neighbour
+      queries against one KD-tree per voxel.
     """
     n = len(points)
     cell = radius / math.sqrt(3.0)
-    keys = np.floor(points / cell).astype(np.int64)
-    keys -= keys.min(axis=0)
-    flat = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+    ranks = [np.unique(np.floor(axis / cell), return_inverse=True)[1] for axis in points.T]
+    flat = np.ravel_multi_index(ranks, [r.max() + 1 for r in ranks])
     uniq, inv = np.unique(flat, return_inverse=True)
     nv = len(uniq)
     if nv == 1:
@@ -128,9 +137,14 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     order = np.argsort(inv, kind="stable")
     grouped = points[order]
     start = np.searchsorted(inv[order], np.arange(nv + 1))
+    count = np.diff(start)
     mins = np.minimum.reduceat(grouped, start[:-1], axis=0)
     maxs = np.maximum.reduceat(grouped, start[:-1], axis=0)
     centers = 0.5 * (mins + maxs)
+    # each voxel's representative: its member nearest the box centre
+    d2 = ((grouped - np.repeat(centers, count, axis=0)) ** 2).sum(axis=1)
+    nearest = np.flatnonzero(d2 == np.repeat(np.minimum.reduceat(d2, start[:-1]), count))
+    reps = grouped[nearest[np.searchsorted(nearest, start[:-1])]]
 
     # A connecting point pair bounds the center distance of its voxels.
     reach = radius + cell * math.sqrt(3.0) + 1e-12
@@ -138,18 +152,21 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     r2 = radius * radius
     a, b = pairs[:, 0], pairs[:, 1]
     gap = np.maximum(0.0, np.maximum(mins[a] - maxs[b], mins[b] - maxs[a]))
-    lower2 = (gap * gap).sum(axis=1)
-    span = np.maximum(maxs[a], maxs[b]) - np.minimum(mins[a], mins[b])
-    upper2 = (span * span).sum(axis=1)
-    maybe = lower2 <= r2
-    linked = maybe & (upper2 <= r2)
+    maybe = (gap * gap).sum(axis=1) <= r2
+    linked = maybe & (((reps[a] - reps[b]) ** 2).sum(axis=1) <= r2)
+    vlabels = _components(nv, a[linked], b[linked])
     unsure = np.flatnonzero(maybe & ~linked)
+    unsure = unsure[vlabels[a[unsure]] != vlabels[b[unsure]]]
     if len(unsure):
         linked[unsure] = _voxels_within(grouped, start, a[unsure], b[unsure], radius)
-
-    graph = coo_matrix((np.ones(linked.sum()), (a[linked], b[linked])), shape=(nv, nv))
-    _, vlabels = _sparse_components(graph, directed=False)
+        vlabels = _components(nv, a[linked], b[linked])
     return vlabels[inv]
+
+
+def _components(nv: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component label of each of nv nodes of the undirected graph with edges (a, b)."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(nv, nv))
+    return _sparse_components(graph, directed=False)[1]
 
 
 def _voxels_within(

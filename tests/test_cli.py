@@ -293,6 +293,28 @@ class TestCalibrate:
         assert main(["estimate", str(ds), "--frame", "0"]) == 5
         assert "frame 0 unusable: segmentation failed" in capsys.readouterr().err
 
+    def test_far_point_dropped_as_its_own_cluster(self, workdir, dataset_dir, capsysbinary):
+        # one end-effector point 170 km away: its voxel key lies far outside
+        # the others', and the frame still calibrates as without it
+        ds = copy_dataset(dataset_dir, workdir / "ds_far_point")
+        ply = ds / "frame_00000.ply"
+        cloud = read_ply(ply)
+        write_ply(
+            ply,
+            PointCloud(
+                np.vstack([cloud.points, np.full((1, 3), 1e5)]),
+                labels=np.append(cloud.labels, LABEL_EE),
+                keypoint_ids=np.append(cloud.keypoint_ids, -1),
+            ),
+        )
+        printed = []
+        for d in (ds, dataset_dir):
+            capsysbinary.readouterr()
+            assert main(["calibrate", str(d), "--no-icp"]) == 0
+            printed.append(capsysbinary.readouterr().out)
+        assert json.loads(printed[0])["rejected_frames"] == 0
+        assert printed[0] == printed[1]
+
     def test_noise_regime_read_from_the_points(self, workdir, capsysbinary):
         # a noisy dataset calibrates the same without the simulator's
         # record of how it was rendered

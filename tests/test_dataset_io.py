@@ -30,6 +30,31 @@ class TestPly:
         assert np.array_equal(back.labels, cloud.labels)
         assert np.array_equal(back.keypoint_ids, cloud.keypoint_ids)
 
+    def test_golden_bytes(self, tmp_path):
+        # fixed-precision body: a negative value, a -0.0, a value that
+        # rounds to -0, an id of -1 and every label
+        cloud = PointCloud(
+            np.array([[0.1, -2.5, 0.0], [-0.0, 1.0000000004, 3.25], [123.456789012, 0.5, -1e-10]]),
+            labels=np.array([0, 1, 2]),
+            keypoint_ids=np.array([-1, 0, 7]),
+        )
+        path = tmp_path / "g.ply"
+        write_ply(path, cloud)
+        assert path.read_text() == (
+            "ply\n"
+            "format ascii 1.0\n"
+            "element vertex 3\n"
+            "property float x\n"
+            "property float y\n"
+            "property float z\n"
+            "property uchar label\n"
+            "property int keypoint_id\n"
+            "end_header\n"
+            "0.100000000 -2.500000000 0.000000000 0 -1\n"
+            "-0.000000000 1.000000000 3.250000000 1 0\n"
+            "123.456789012 0.500000000 -0.000000000 2 7\n"
+        )
+
     def test_empty_cloud_round_trip(self, tmp_path):
         path = tmp_path / "empty.ply"
         write_ply(path, PointCloud(np.zeros((0, 3))))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from depthcal.errors import EmptyCloud, MissingGroundTruth, NoValidCluster
@@ -92,20 +93,53 @@ def brute_components(points, radius):
     return comp
 
 
+def assert_same_partition(got, want):
+    # label names may differ; the labels must map one to one
+    assert len(got) == len(want)
+    pairs = np.unique(np.stack([got, want]), axis=1)
+    assert pairs.shape[1] == len(np.unique(got)) == len(np.unique(want))
+
+
+@st.composite
+def blob_chains(draw):
+    """1-4 blobs chained 0.9-1.1 radius apart, every point repeated 1-3 times."""
+    radius = draw(st.floats(0.005, 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = [np.zeros(3)]
+    for _ in range(draw(st.integers(0, 3))):
+        step = rng.normal(size=3)
+        centres.append(centres[-1] + step / np.linalg.norm(step) * radius * rng.uniform(0.9, 1.1))
+    spread = draw(st.sampled_from([0.0, 0.02, 0.2])) * radius
+    points = np.concatenate(
+        [c + rng.normal(scale=spread, size=(draw(st.integers(1, 30)), 3)) for c in centres]
+    )
+    return np.repeat(points, rng.integers(1, 4, size=len(points)), axis=0), radius
+
+
 class TestRadiusComponents:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 0.2, size=(250, 3))
         radius = rng.uniform(0.01, 0.05)
-        got = _radius_components(pts, radius)
-        want = brute_components(pts, radius)
-        # same partition, label names may differ
-        for comp in (got, want):
-            assert len(comp) == len(pts)
-        remap = {}
-        for g, w in zip(got, want):
-            assert remap.setdefault(g, w) == w
+        assert_same_partition(_radius_components(pts, radius), brute_components(pts, radius))
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob_chains())
+    @example((np.ones((1, 3)), 0.03))
+    @example((np.ones((4, 3)), 0.03))
+    def test_blob_chains_match_brute_force(self, cloud):
+        pts, radius = cloud
+        assert_same_partition(_radius_components(pts, radius), brute_components(pts, radius))
+
+    def test_far_points_are_their_own_components(self):
+        # cell coordinates this far apart overflow an int64 index of their box
+        rng = np.random.default_rng(5)
+        far = [[1e5, 1e5, 1e5], [-1e5, 3e4, -1e5]]
+        pts = np.vstack([rng.normal(scale=0.01, size=(200, 3)), far])
+        comp = _radius_components(pts, 0.03)
+        assert_same_partition(comp, brute_components(pts, 0.03))
+        assert len(np.unique(comp)) == len(np.unique(comp[:200])) + 2
 
     def test_grid_chain_is_one_component(self):
         # colinear chain with spacing just inside the radius
@@ -117,8 +151,9 @@ class TestRadiusComponents:
     def test_voxel_pair_settled_by_point_distance(self, bridge_x, parts):
         # two dense lines 31 mm apart; one extra point of the upper line
         # sits 29.9 mm above the lower line's span, which links them, or
-        # beyond its end, 30.3 mm from it, which does not.  Both voxel
-        # pairs pass the bounding-box screen undecided.
+        # beyond its end, 30.3 mm from it, which does not.  The linking
+        # voxel pair passes the bounding-box and representative screens
+        # undecided; the other is ruled out by its bounding-box gap.
         x = np.arange(101) * 0.001
         lower = np.column_stack([x, np.zeros(101), np.zeros(101)])
         upper = np.column_stack([x, np.full(101, 0.031), np.zeros(101)])
