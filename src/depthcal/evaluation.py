@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import calibration_from_estimates
-from .errors import EmptyCloud, MissingGroundTruth
+from .errors import ConfigError, EmptyCloud, MissingGroundTruth
 from .geometry import PointCloud, Pose, compose, rotation_distance
 from .pipeline import PipelineConfig, estimate_frames
 
@@ -34,6 +35,9 @@ class EvaluationConfig:
     def __post_init__(self):
         # a JSON array arrives as a list
         self.add_thresholds = tuple(self.add_thresholds)
+        for t in self.add_thresholds:
+            if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
+                raise ConfigError(f"add_thresholds must be finite positive numbers, got {t!r}")
 
 
 def translation_error(gt: Pose, pred: Pose) -> float:

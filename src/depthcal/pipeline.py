@@ -8,7 +8,10 @@ FrameEstimate records produced here.
 
 PipelineConfig gathers the stage settings; each stage's section
 dataclass lives next to the stage, and the CLI loads the JSON config
-file straight into them.  resolve_config picks the ICP source
+file straight into them.  Each stage function takes its own section
+as an argument; the three learned models of the paper (segmentation,
+rotation, keypoints) are simulator oracles inside predict_labels,
+rpt_pose and predict_keypoints.  resolve_config picks the ICP source
 resolution from one measurement of the dataset's points.
 
 Randomness is reproducible per frame: every frame derives its own
@@ -39,14 +42,9 @@ from .errors import (
 from .geometry import LABEL_EE, PointCloud, Pose, compose
 from .icp import IcpConfig, IcpResult, IcpSource, prepare_source, refine_estimates
 from .icp import NORMAL_NEIGHBOURS, local_pca
-from .kpm import KpmConfig, NoisyOracleKeypoints, filter_keypoints, kpm_pose, predict_keypoints
-from .rpt import NoisyOracleRotation, RptConfig, rpt_pose
-from .segmentation import (
-    NoisyOracleSegmenter,
-    SegmentationConfig,
-    cluster_filter,
-    predict_labels,
-)
+from .kpm import KpmConfig, filter_keypoints, kpm_pose, predict_keypoints
+from .rpt import RptConfig, rpt_pose
+from .segmentation import SegmentationConfig, cluster_filter, predict_labels
 from .simulator import Dataset, EEModel, Frame
 
 log = logging.getLogger(__name__)
@@ -153,10 +151,8 @@ def estimate_frame(
     if gt_calibration is not None:
         true_pose = compose(gt_calibration, frame.t_b_ee)
 
-    seg = cfg.segmentation
-    segmenter = NoisyOracleSegmenter(seg.flip_probability, seg.speckle_rate)
     try:
-        labeled = predict_labels(frame.cloud, segmenter, np.random.default_rng(seg_seq))
+        labeled = predict_labels(frame.cloud, cfg.segmentation, np.random.default_rng(seg_seq))
     except (EmptyCloud, MissingGroundTruth) as e:
         out.skipped_reason = f"segmentation failed: {e}"
         return out
@@ -165,7 +161,7 @@ def estimate_frame(
         out.skipped_reason = "segmentation found no end-effector points"
         return out
     try:
-        ee = cluster_filter(ee, seg.linkage_distance, seg.min_cluster_fraction)
+        ee = cluster_filter(ee, cfg.segmentation)
     except NoValidCluster as e:
         out.skipped_reason = f"cluster filter failed: {e}"
         return out
@@ -177,32 +173,18 @@ def estimate_frame(
         return out
 
     try:
-        pose = rpt_pose(
-            ee,
-            NoisyOracleRotation(cfg.rpt.rotation_sigma_deg),
-            model,
-            true_pose=true_pose,
-            rng=np.random.default_rng(rot_seq),
-            trim_fraction=cfg.rpt.trim_fraction,
-        )
+        rng = np.random.default_rng(rot_seq)
+        pose = rpt_pose(ee, model, cfg.rpt, true_pose=true_pose, rng=rng)
         out.estimates.append(MethodEstimate("rpt", pose))
     except (TooFewPoints, MissingGroundTruth, DegenerateGeometry) as e:
         log.info("frame %d: rotation-extent route unavailable: %s", frame_index, e)
 
     try:
-        predictor = NoisyOracleKeypoints(
-            sigma_m=cfg.kpm.sigma_m,
-            dropout=cfg.kpm.dropout,
-            snap_radius=cfg.kpm.snap_radius_m,
-        )
+        rng = np.random.default_rng(kp_seq)
         predictions = predict_keypoints(
-            ee,
-            predictor,
-            model.ref_keypoints,
-            true_pose=true_pose,
-            rng=np.random.default_rng(kp_seq),
+            ee, cfg.kpm, model.ref_keypoints, true_pose=true_pose, rng=rng
         )
-        kept = filter_keypoints(predictions, ee.points, cfg.kpm.quality_radius_m)
+        kept = filter_keypoints(predictions, ee.points)
         out.estimates.append(MethodEstimate("kpm", kpm_pose(kept, model.ref_keypoints)))
     except (TooFewKeypoints, MissingGroundTruth, DegenerateGeometry, EmptyCloud) as e:
         log.info("frame %d: keypoint route unavailable: %s", frame_index, e)

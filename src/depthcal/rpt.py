@@ -10,13 +10,18 @@ full pose from a rotation estimate alone.  The whole end-effector must
 be in view: a missing extreme face shifts the recovered translation by
 the size of the missing chunk, which is why multi-frame aggregation
 treats this route's output as just one vote.
+
+The rotation stands where the paper's learned single-frame rotation
+model sits: the simulator's true rotation with configurable noise.
+rpt_pose reads both that noise and the extent trimming from the `rpt`
+config section.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +36,7 @@ MIN_RPT_POINTS = 10
 class RptConfig:
     """The `rpt` config section."""
 
-    # NoisyOracleRotation's angular noise
+    # angular noise of the rotation oracle
     rotation_sigma_deg: float = 0.0
     # extent trimming of rpt_pose, on every dataset (see rpt_translation)
     trim_fraction: float = 0.002
@@ -43,50 +48,27 @@ class RptConfig:
             raise ConfigError("trim_fraction must be in [0, 0.5)")
 
 
-class RotationPredictor(Protocol):
-    """Estimates the end-effector rotation in the camera frame.
+def _oracle_rotation(
+    true_pose: Pose | None, sigma_deg: float, rng: np.random.Generator | None
+) -> Quaternion:
+    """The true rotation perturbed by a random axis-angle.
 
-    true_pose carries the simulator ground truth for oracle
-    implementations; a learned predictor would ignore it.
+    Stand-in for the paper's trained rotation network: the perturbation
+    axis is uniform on the sphere and the angle is N(0, sigma_deg).
     """
-
-    def predict(
-        self,
-        ee_cloud: PointCloud,
-        true_pose: Pose | None,
-        rng: np.random.Generator | None,
-    ) -> Quaternion: ...
-
-
-@dataclass
-class NoisyOracleRotation:
-    """Ground-truth rotation perturbed by a random axis-angle.
-
-    Stand-in for a trained rotation network: the perturbation axis is
-    uniform on the sphere and the angle is N(0, sigma_deg).
-    """
-
-    sigma_deg: float = 0.0
-
-    def predict(
-        self,
-        ee_cloud: PointCloud,
-        true_pose: Pose | None,
-        rng: np.random.Generator | None,
-    ) -> Quaternion:
-        if true_pose is None:
-            raise MissingGroundTruth("rotation oracle requires the true pose")
-        if self.sigma_deg == 0.0:
-            return true_pose.rotation
-        if rng is None:
-            raise ValueError("a noisy rotation oracle needs an rng")
-        axis = rng.normal(size=3)
-        n = np.linalg.norm(axis)
-        if n < 1e-12:
-            axis = np.array([0.0, 0.0, 1.0])
-            n = 1.0
-        angle = math.radians(self.sigma_deg) * rng.normal()
-        return Quaternion.from_axis_angle(axis / n, angle).multiply(true_pose.rotation)
+    if true_pose is None:
+        raise MissingGroundTruth("rotation oracle requires the true pose")
+    if sigma_deg == 0.0:
+        return true_pose.rotation
+    if rng is None:
+        raise ValueError("a noisy rotation oracle needs an rng")
+    axis = rng.normal(size=3)
+    n = np.linalg.norm(axis)
+    if n < 1e-12:
+        axis = np.array([0.0, 0.0, 1.0])
+        n = 1.0
+    angle = math.radians(sigma_deg) * rng.normal()
+    return Quaternion.from_axis_angle(axis / n, angle).multiply(true_pose.rotation)
 
 
 def rotate_back(ee_cloud: PointCloud, r_pred: Quaternion) -> PointCloud:
@@ -142,17 +124,20 @@ def rpt_translation(
 
 def rpt_pose(
     ee_cloud: PointCloud,
-    predictor: RotationPredictor,
     model: EEModel,
+    cfg: RptConfig,
     *,
     true_pose: Pose | None = None,
     rng: np.random.Generator | None = None,
-    trim_fraction: float = 0.0,
 ) -> Pose:
-    """Full route: predict rotation, de-rotate, read extents, assemble pose."""
-    r_pred = predictor.predict(ee_cloud, true_pose, rng)
+    """Full route: predict rotation, de-rotate, read extents, assemble pose.
+
+    The rotation is the oracle's (cfg.rotation_sigma_deg of noise around
+    true_pose); the extents are trimmed by cfg.trim_fraction.
+    """
+    r_pred = _oracle_rotation(true_pose, cfg.rotation_sigma_deg, rng)
     de_rotated = rotate_back(ee_cloud, r_pred)
     t = rpt_translation(
-        de_rotated.points, model.rpt_descriptor, r_pred, trim_fraction=trim_fraction
+        de_rotated.points, model.rpt_descriptor, r_pred, trim_fraction=cfg.trim_fraction
     )
     return Pose(r_pred, t)

@@ -1,17 +1,16 @@
-"""Point cloud segmentation interface and spatial cluster filtering.
+"""Point cloud segmentation and spatial cluster filtering.
 
-A SegmentationPredictor stands where a learned per-point classifier would
-sit in a deployed system.  The shipped implementation is a simulator
-oracle that corrupts the ground-truth labels with label flips and
-false-positive speckle so the downstream robustness can be tested; at
-zero rates it returns them unchanged.
+predict_labels stands where the paper's learned per-point classifier
+sits: it corrupts the simulator's ground-truth labels with label flips
+and false-positive speckle so the downstream robustness can be tested;
+at zero rates it returns them unchanged.  predict_labels and
+cluster_filter both take the `segmentation` config section.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -26,7 +25,7 @@ from .geometry import LABEL_EE, PointCloud
 class SegmentationConfig:
     """The `segmentation` config section: oracle label noise and clustering."""
 
-    # NoisyOracleSegmenter error rates; both 0 selects the ground-truth labels
+    # predict_labels error rates; both 0 selects the ground-truth labels
     flip_probability: float = 0.0
     speckle_rate: float = 0.0
     # cluster_filter settings
@@ -42,65 +41,37 @@ class SegmentationConfig:
             raise ConfigError("min_cluster_fraction must be in [0, 1]")
 
 
-@runtime_checkable
-class SegmentationPredictor(Protocol):
-    def predict(self, cloud: PointCloud, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Per-point class labels in {0 background, 1 arm, 2 end-effector}."""
-        ...
-
-
-@dataclass
-class NoisyOracleSegmenter:
-    """Ground-truth labels corrupted by two error modes.
-
-    flip_probability: each point independently swaps to one of the other
-    two classes.  speckle_rate: each non-EE point is independently
-    mislabeled as end effector, producing the scattered false positives
-    the cluster filter must reject.
-    """
-
-    flip_probability: float = 0.0
-    speckle_rate: float = 0.0
-
-    def predict(self, cloud: PointCloud, rng: np.random.Generator | None = None) -> np.ndarray:
-        if cloud.labels is None:
-            raise MissingGroundTruth("cloud carries no ground-truth labels")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        labels = cloud.labels.copy()
-        n = len(labels)
-        if self.flip_probability > 0:
-            flip = rng.random(n) < self.flip_probability
-            labels[flip] = (labels[flip] + rng.integers(1, 3, size=int(flip.sum()))) % 3
-        if self.speckle_rate > 0:
-            candidates = labels != LABEL_EE
-            spark = rng.random(n) < self.speckle_rate
-            labels[candidates & spark] = LABEL_EE
-        return labels
-
-
 def predict_labels(
-    cloud: PointCloud,
-    predictor: SegmentationPredictor,
-    rng: np.random.Generator | None = None,
+    cloud: PointCloud, cfg: SegmentationConfig, rng: np.random.Generator
 ) -> PointCloud:
-    """Run a predictor and attach its labels to the cloud.
+    """The cloud's finite points with oracle labels attached.
 
     Points with a non-finite coordinate (sensor holes read as NaN) are
     dropped first; labels and keypoint ids stay aligned with the rest.
+    The labels are the ground truth corrupted by two error modes:
+    cfg.flip_probability swaps each point independently to one of the
+    other two classes, and cfg.speckle_rate mislabels each non-EE point
+    independently as end effector, producing the scattered false
+    positives the cluster filter must reject.
     """
     finite = np.isfinite(cloud.points).all(axis=1)
     if not finite.all():
         cloud = cloud.subset(finite)
     if len(cloud) == 0:
         raise EmptyCloud("cannot segment a cloud with no finite points")
-    labels = np.asarray(predictor.predict(cloud, rng), dtype=np.int64)
-    if labels.shape != (len(cloud),):
-        raise ValueError("predictor returned a label vector of the wrong length")
-    if labels.min() < 0 or labels.max() > 2:
-        raise ValueError("predictor returned labels outside {0, 1, 2}")
-    return PointCloud(cloud.points.copy(), labels=labels,
-                      keypoint_ids=None if cloud.keypoint_ids is None else cloud.keypoint_ids.copy())
+    if cloud.labels is None:
+        raise MissingGroundTruth("cloud carries no ground-truth labels")
+    labels = cloud.labels.copy()
+    n = len(labels)
+    if cfg.flip_probability > 0:
+        flip = rng.random(n) < cfg.flip_probability
+        labels[flip] = (labels[flip] + rng.integers(1, 3, size=int(flip.sum()))) % 3
+    if cfg.speckle_rate > 0:
+        candidates = labels != LABEL_EE
+        spark = rng.random(n) < cfg.speckle_rate
+        labels[candidates & spark] = LABEL_EE
+    ids = None if cloud.keypoint_ids is None else cloud.keypoint_ids.copy()
+    return PointCloud(cloud.points.copy(), labels=labels, keypoint_ids=ids)
 
 
 def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
@@ -197,30 +168,25 @@ def _voxels_within(
     return out
 
 
-def cluster_filter(
-    ee_points: PointCloud,
-    linkage_distance: float = SegmentationConfig.linkage_distance,
-    min_cluster_fraction: float = SegmentationConfig.min_cluster_fraction,
-) -> PointCloud:
+def cluster_filter(ee_points: PointCloud, cfg: SegmentationConfig) -> PointCloud:
     """Keep the largest spatial cluster of the predicted EE points.
 
-    Clusters are single-linkage components at linkage_distance.  Clusters
-    holding less than min_cluster_fraction of the input are discarded;
-    if none remains, NoValidCluster.  Size ties go to the cluster with the
-    lower centroid x, then to the one containing the lowest point index.
+    Clusters are single-linkage components at cfg.linkage_distance.
+    Clusters holding less than cfg.min_cluster_fraction of the input are
+    discarded; if none remains, NoValidCluster.  Size ties go to the
+    cluster with the lower centroid x, then to the one containing the
+    lowest point index.
     """
     if len(ee_points) == 0:
         raise EmptyCloud("no end-effector points to cluster")
-    if linkage_distance <= 0:
-        raise ValueError("linkage_distance must be positive")
-    comp = _radius_components(ee_points.points, linkage_distance)
+    comp = _radius_components(ee_points.points, cfg.linkage_distance)
     sizes = np.bincount(comp)
-    min_count = min_cluster_fraction * len(ee_points)
+    min_count = cfg.min_cluster_fraction * len(ee_points)
     eligible = np.flatnonzero(sizes >= min_count)
     if len(eligible) == 0:
         raise NoValidCluster(
             f"largest cluster holds {sizes.max()} of {len(ee_points)} points, "
-            f"below the {min_cluster_fraction:.0%} minimum"
+            f"below the {cfg.min_cluster_fraction:.0%} minimum"
         )
     best_size = sizes[eligible].max()
     candidates = [c for c in eligible if sizes[c] == best_size]

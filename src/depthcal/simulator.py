@@ -574,6 +574,8 @@ class SimulatorConfig:
     occlusion: HalfspaceCut | None = None
 
     def __post_init__(self):
+        if not self.frames_per_config >= 1:
+            raise ValueError(f"frames_per_config must be at least 1, got {self.frames_per_config}")
         if self.occlusion is not None and not isinstance(self.occlusion, HalfspaceCut):
             try:
                 self.occlusion = HalfspaceCut.from_dict(self.occlusion)

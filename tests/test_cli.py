@@ -103,6 +103,7 @@ class TestConfigHandling:
                 ("icp.relative_rmse_epsilon", 1e-6),
                 ("icp.relative_fitness_epsilon", 1e-6),
                 ("simulator.with_background", True),
+                ("kpm.quality_radius_m", 0.03),
             ]
         ],
     )
@@ -139,13 +140,16 @@ class TestConfigHandling:
             {"kpm": {"sigma_m": -0.001}},
             {"kpm": {"dropout": 1.5}},
             {"kpm": {"snap_radius_m": 0}},
-            {"kpm": {"quality_radius_m": -0.03}},
             {"icp": {"enabled": "no"}},
             {"icp": {"max_iterations": 7.5}},
             {"kpm": {"sigma_m": True}},
             {"evaluation": {"add_thresholds": 0.01}},
+            {"evaluation": {"add_thresholds": ["x"]}},
+            {"evaluation": {"add_thresholds": [True]}},
             {"evaluation": {"write_csv": 1}},
             {"simulator": {"frames_per_config": "5"}},
+            {"simulator": {"frames_per_config": 0}},
+            {"simulator": {"frames_per_config": -1}},
             {"simulator": {"occlusion": {"axis": 5, "threshold": 0.0}}},
             {"simulator": {"occlusion": {"axis": -1, "threshold": 0.0}}},
             {"simulator": {"occlusion": {"axis": 1.7, "threshold": 0.0}}},
@@ -175,13 +179,16 @@ class TestConfigHandling:
             "kpm_sigma_negative",
             "kpm_dropout_above_one",
             "snap_radius_zero",
-            "quality_radius_negative",
             "icp_enabled_string",
             "max_iterations_fraction",
             "kpm_sigma_bool",
             "add_thresholds_number",
+            "add_thresholds_string_element",
+            "add_thresholds_bool_element",
             "write_csv_integer",
             "frames_per_config_string",
+            "frames_per_config_zero",
+            "frames_per_config_negative",
             "occlusion_axis_out_of_range",
             "occlusion_axis_negative",
             "occlusion_axis_fraction",

@@ -27,15 +27,9 @@ from depthcal.icp import (
     refine_estimates,
     voxel_downsample,
 )
-from depthcal.kpm import (
-    KpmConfig,
-    NoisyOracleKeypoints,
-    filter_keypoints,
-    kpm_pose,
-    predict_keypoints,
-)
+from depthcal.kpm import KpmConfig, filter_keypoints, kpm_pose, predict_keypoints
 from depthcal.pipeline import PipelineConfig
-from depthcal.rpt import NoisyOracleRotation, RptConfig, rpt_pose
+from depthcal.rpt import RptConfig, rpt_pose
 from depthcal.simulator import default_scenario, generate_dataset
 
 
@@ -450,8 +444,8 @@ def _add(est: Pose, true: Pose, pts: np.ndarray) -> float:
 def test_refinement_reduces_add_on_noisy_frames(noisy_dataset):
     """Mean alignment error must drop through refinement for both routes."""
     ds = noisy_dataset
-    rot_oracle = NoisyOracleRotation(5.0)
-    kp_oracle = NoisyOracleKeypoints(sigma_m=0.005, dropout=0.1)
+    rpt_cfg = RptConfig(rotation_sigma_deg=5.0)
+    kpm_cfg = KpmConfig(sigma_m=0.005, dropout=0.1)
     rng = np.random.default_rng(23)
     pts = ds.model.surface_cloud.points
     source = prepare_source(ds.model)
@@ -461,13 +455,9 @@ def test_refinement_reduces_add_on_noisy_frames(noisy_dataset):
         true_pose = compose(ds.gt_calibration, frame.t_b_ee)
         ee = ee_subset(frame.cloud)
         cands = []
-        cands.append(
-            ("rpt", rpt_pose(ee, rot_oracle, ds.model, true_pose=true_pose, rng=rng,
-                             trim_fraction=0.002))
-        )
+        cands.append(("rpt", rpt_pose(ee, ds.model, rpt_cfg, true_pose=true_pose, rng=rng)))
         preds = filter_keypoints(
-            predict_keypoints(ee, kp_oracle, ds.model.ref_keypoints,
-                              true_pose=true_pose, rng=rng),
+            predict_keypoints(ee, kpm_cfg, ds.model.ref_keypoints, true_pose=true_pose, rng=rng),
             ee.points,
         )
         if len(preds) >= 4:

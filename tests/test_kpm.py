@@ -15,12 +15,13 @@ from depthcal.errors import (
 )
 from depthcal.geometry import LABEL_EE, PointCloud, Pose, Quaternion, compose, invert
 from depthcal.kpm import (
-    NoisyOracleKeypoints,
+    QUALITY_RADIUS,
+    KpmConfig,
     filter_keypoints,
     kpm_pose,
     predict_keypoints,
 )
-from depthcal.rpt import NoisyOracleRotation, rpt_pose
+from depthcal.rpt import RptConfig, rpt_pose
 from depthcal.simulator import build_ee_model, default_scenario, generate_dataset
 
 
@@ -45,7 +46,7 @@ class TestNoisyOracleKeypoints:
         true_pose = compose(ds.gt_calibration, frame.t_b_ee)
         got = predict_keypoints(
             ee_subset(frame.cloud),
-            NoisyOracleKeypoints(),
+            KpmConfig(),
             ds.model.ref_keypoints,
             true_pose=true_pose,
         )
@@ -61,7 +62,7 @@ class TestNoisyOracleKeypoints:
         ee = ee_subset(frame.cloud)
         got = predict_keypoints(
             ee,
-            NoisyOracleKeypoints(sigma_m=0.005),
+            KpmConfig(sigma_m=0.005),
             ds.model.ref_keypoints,
             true_pose=true_pose,
             rng=np.random.default_rng(5),
@@ -74,7 +75,7 @@ class TestNoisyOracleKeypoints:
         cloud = PointCloud(model.surface_cloud.points)
         got = predict_keypoints(
             cloud,
-            NoisyOracleKeypoints(dropout=1.0),
+            KpmConfig(dropout=1.0),
             model.ref_keypoints,
             true_pose=Pose.identity(),
             rng=np.random.default_rng(0),
@@ -84,9 +85,9 @@ class TestNoisyOracleKeypoints:
     def test_dropout_rate(self, model):
         cloud = PointCloud(model.surface_cloud.points)
         rng = np.random.default_rng(11)
-        oracle = NoisyOracleKeypoints(dropout=0.3)
+        cfg, refs = KpmConfig(dropout=0.3), model.ref_keypoints
         n = sum(
-            len(oracle.predict(cloud, Pose.identity(), model.ref_keypoints, rng))
+            len(predict_keypoints(cloud, cfg, refs, true_pose=Pose.identity(), rng=rng))
             for _ in range(300)
         )
         rate = 1.0 - n / (300 * 6)
@@ -98,7 +99,7 @@ class TestNoisyOracleKeypoints:
         kept = PointCloud(pts[pts[:, 1] < 0.05])
         got = predict_keypoints(
             kept,
-            NoisyOracleKeypoints(),
+            KpmConfig(),
             model.ref_keypoints,
             true_pose=Pose.identity(),
         )
@@ -115,7 +116,7 @@ class TestNoisyOracleKeypoints:
         refs = np.zeros((300, 3))
         got = predict_keypoints(
             cube,
-            NoisyOracleKeypoints(sigma_m=sigma),
+            KpmConfig(sigma_m=sigma),
             refs,
             true_pose=Pose.identity(),
             rng=np.random.default_rng(21),
@@ -127,54 +128,32 @@ class TestNoisyOracleKeypoints:
 
     def test_requires_truth(self, model):
         with pytest.raises(MissingGroundTruth):
-            NoisyOracleKeypoints().predict(
-                model.surface_cloud, None, model.ref_keypoints, None
-            )
+            predict_keypoints(model.surface_cloud, KpmConfig(), model.ref_keypoints)
 
     def test_noisy_needs_rng(self, model):
         with pytest.raises(ValueError):
-            NoisyOracleKeypoints(sigma_m=0.01).predict(
-                model.surface_cloud, Pose.identity(), model.ref_keypoints, None
+            predict_keypoints(
+                model.surface_cloud,
+                KpmConfig(sigma_m=0.01),
+                model.ref_keypoints,
+                true_pose=Pose.identity(),
             )
-
-
-class _StubPredictor:
-    def __init__(self, out):
-        self.out = out
-
-    def predict(self, ee_cloud, true_pose, ref_keypoints, rng):
-        return self.out
 
 
 class TestPredictKeypointsValidation:
     def test_empty_cloud(self, model):
         with pytest.raises(EmptyCloud):
             predict_keypoints(
-                PointCloud(np.zeros((0, 3))), NoisyOracleKeypoints(), model.ref_keypoints
+                PointCloud(np.zeros((0, 3))), KpmConfig(), model.ref_keypoints
             )
-
-    def test_duplicate_ids_rejected(self, model):
-        stub = _StubPredictor([(0, np.zeros(3)), (0, np.ones(3))])
-        with pytest.raises(ValueError, match="duplicate"):
-            predict_keypoints(model.surface_cloud, stub, model.ref_keypoints)
-
-    def test_out_of_range_id_rejected(self, model):
-        stub = _StubPredictor([(6, np.zeros(3))])
-        with pytest.raises(ValueError, match="range"):
-            predict_keypoints(model.surface_cloud, stub, model.ref_keypoints)
 
 
 class TestFilterKeypoints:
     def test_far_prediction_discarded(self):
         ee = np.zeros((10, 3))
-        preds = [(0, np.array([0.0, 0.0, 0.01])), (1, np.array([0.0, 0.0, 0.05]))]
+        preds = [(0, np.array([0.0, 0.0, QUALITY_RADIUS])), (1, np.array([0.0, 0.0, 0.05]))]
         kept = filter_keypoints(preds, ee)
         assert [k for k, _ in kept] == [0]
-
-    def test_radius_configurable(self):
-        ee = np.zeros((10, 3))
-        preds = [(1, np.array([0.0, 0.0, 0.05]))]
-        assert filter_keypoints(preds, ee, quality_radius=0.06) == preds
 
     def test_empty_inputs(self):
         assert filter_keypoints([], np.zeros((5, 3))) == []
@@ -221,8 +200,8 @@ def test_keypoint_route_beats_extent_route_under_occlusion():
     keypoints stays accurate while the extent readout shifts by the size
     of the missing region."""
     ds = generate_dataset(default_scenario(frames_per_config=2, noise_sigma_1m=0.002))
-    rot_oracle = NoisyOracleRotation(5.0)
-    kp_oracle = NoisyOracleKeypoints(sigma_m=0.005, dropout=0.1)
+    rpt_cfg = RptConfig(rotation_sigma_deg=5.0)
+    kpm_cfg = KpmConfig(sigma_m=0.005, dropout=0.1)
     rng = np.random.default_rng(17)
     model_pts = ds.model.surface_cloud.points
     rpt_errs, kpm_errs = [], []
@@ -232,12 +211,9 @@ def test_keypoint_route_beats_extent_route_under_occlusion():
         local = invert(true_pose).apply(ee.points)
         occluded = ee.subset((local[:, 2] <= 0.052) & (local[:, 1] <= 0.04))
         assert len(occluded) < 0.7 * len(ee)
-        pose_r = rpt_pose(
-            occluded, rot_oracle, ds.model, true_pose=true_pose, rng=rng,
-            trim_fraction=0.002,
-        )
+        pose_r = rpt_pose(occluded, ds.model, rpt_cfg, true_pose=true_pose, rng=rng)
         preds = predict_keypoints(
-            occluded, kp_oracle, ds.model.ref_keypoints, true_pose=true_pose, rng=rng
+            occluded, kpm_cfg, ds.model.ref_keypoints, true_pose=true_pose, rng=rng
         )
         preds = filter_keypoints(preds, occluded.points)
         try:

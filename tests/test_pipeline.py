@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_pose_close
 from depthcal.geometry import LABEL_BACKGROUND, LABEL_EE, PointCloud, Pose, compose
 from depthcal.calibration import CalibrationConfig
+from depthcal.icp import prepare_source
 from depthcal.kpm import KpmConfig
 from depthcal.pipeline import (
     FrameEstimate,
@@ -18,6 +20,7 @@ from depthcal.pipeline import (
     resolve_config,
 )
 from depthcal.rpt import RptConfig
+from depthcal.segmentation import SegmentationConfig
 from depthcal.simulator import Frame, default_scenario, generate_dataset
 
 
@@ -38,6 +41,11 @@ def noisy_cfg():
     return PipelineConfig(
         seed=2, rpt=RptConfig(rotation_sigma_deg=5.0), kpm=KpmConfig(sigma_m=0.005, dropout=0.1)
     )
+
+
+@pytest.fixture(scope="module")
+def degenerate_source(noisy_dataset, noisy_cfg):
+    return prepare_source(noisy_dataset.model, noisy_cfg.icp)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +156,61 @@ class TestNonFinitePoints:
         frame = Frame(cloud, config_id=0, t_b_ee=Pose.identity())
         fe = estimate_frame(frame, 0, noiseless_dataset.model)
         assert fe.skipped_reason.startswith("segmentation failed")
+
+
+def degenerate_cloud(cloud: PointCloud, kind: str, rng: np.random.Generator) -> PointCloud:
+    """A sensor failure applied to a rendered frame's cloud."""
+    ee_points = cloud.points[cloud.labels == LABEL_EE]
+    if kind == "empty":
+        return PointCloud(np.zeros((0, 3)), labels=np.zeros(0))
+    if kind in ("single", "duplicate"):
+        n = 1 if kind == "single" else int(rng.integers(2, 400))
+        point = ee_points[rng.integers(len(ee_points))]
+        return PointCloud(np.tile(point, (n, 1)), labels=np.full(n, LABEL_EE))
+    points, labels = cloud.points.copy(), cloud.labels.copy()
+    if kind == "non_finite":
+        rows = rng.random(len(points)) < rng.choice([0.01, 0.5, 1.0])
+        cols = rng.integers(3, size=int(rows.sum()))
+        points[np.flatnonzero(rows), cols] = rng.choice([np.nan, np.inf, -np.inf], size=len(cols))
+        return PointCloud(points, labels=labels)
+    # far outliers labelled as end effector, alone or beside the gripper
+    n = int(rng.integers(1, 6))
+    far = rng.choice([-1.0, 1.0], size=(n, 3)) * 10.0 ** rng.uniform(2, 6, size=(n, 3))
+    if rng.random() < 0.5:
+        points, labels = points[labels != LABEL_EE], labels[labels != LABEL_EE]
+    return PointCloud(np.vstack([points, far]), labels=np.append(labels, np.full(n, LABEL_EE)))
+
+
+class TestDegenerateFrames:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["empty", "single", "duplicate", "non_finite", "far_outlier"]),
+        frame_index=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="non_finite", frame_index=0, seed=0)
+    @example(kind="far_outlier", frame_index=0, seed=0)
+    def test_estimate_frame_returns_or_explains(
+        self, noisy_dataset, noisy_cfg, degenerate_source, kind, frame_index, seed
+    ):
+        ds = noisy_dataset
+        frame = ds.frames[frame_index]
+        cloud = degenerate_cloud(frame.cloud, kind, np.random.default_rng(seed))
+        cfg = dataclasses.replace(
+            noisy_cfg, segmentation=SegmentationConfig(flip_probability=0.02, speckle_rate=0.01)
+        )
+        fe = estimate_frame(
+            dataclasses.replace(frame, cloud=cloud), frame_index, ds.model, cfg,
+            ds.gt_calibration, degenerate_source,
+        )
+        assert isinstance(fe, FrameEstimate)
+        assert fe.frame_index == frame_index
+        if not fe.estimates:
+            assert fe.skipped_reason
+        for m in fe.estimates:
+            for pose in (m.pose, m.refined_pose or m.pose):
+                assert np.isfinite(pose.translation).all()
+                assert np.isfinite(pose.rotation.as_array()).all()
 
 
 class TestDeterminism:

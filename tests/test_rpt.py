@@ -21,7 +21,7 @@ from depthcal.geometry import (
     compose,
     rotation_distance,
 )
-from depthcal.rpt import NoisyOracleRotation, rotate_back, rpt_pose, rpt_translation
+from depthcal.rpt import RptConfig, rotate_back, rpt_pose, rpt_translation
 from depthcal.simulator import build_ee_model, default_scenario, generate_dataset
 
 
@@ -143,29 +143,35 @@ class TestEquivariance:
         np.testing.assert_allclose(t1, r.rotate(t0), atol=1e-9)
 
 
+def oracle_rotation(model, sigma_deg, true_pose, rng=None):
+    """The rotation rpt_pose predicts; it does not depend on the points."""
+    cloud = PointCloud(model.surface_cloud.points[::100])
+    cfg = RptConfig(rotation_sigma_deg=sigma_deg)
+    return rpt_pose(cloud, model, cfg, true_pose=true_pose, rng=rng).rotation
+
+
 class TestNoisyOracleRotation:
     def test_sigma_zero_is_exact(self, model):
         pose = random_pose(np.random.default_rng(0))
-        got = NoisyOracleRotation(0.0).predict(model.surface_cloud, pose, None)
+        got = oracle_rotation(model, 0.0, pose)
         assert rotation_distance(got, pose.rotation) < 1e-12
 
     def test_requires_truth(self, model):
         with pytest.raises(MissingGroundTruth):
-            NoisyOracleRotation(0.0).predict(model.surface_cloud, None, None)
+            oracle_rotation(model, 0.0, None)
 
     def test_noisy_needs_rng(self, model):
         pose = random_pose(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            NoisyOracleRotation(5.0).predict(model.surface_cloud, pose, None)
+            oracle_rotation(model, 5.0, pose)
 
     def test_angular_error_statistics(self, model):
         # |N(0, sigma)| has mean sigma * sqrt(2/pi)
         sigma = 5.0
-        oracle = NoisyOracleRotation(sigma)
         rng = np.random.default_rng(42)
         pose = random_pose(np.random.default_rng(1))
         errs = [
-            rotation_distance(oracle.predict(model.surface_cloud, pose, rng), pose.rotation)
+            rotation_distance(oracle_rotation(model, sigma, pose, rng), pose.rotation)
             for _ in range(2000)
         ]
         mean_deg = math.degrees(float(np.mean(errs)))
@@ -176,12 +182,9 @@ class TestNoisyOracleRotation:
 class TestRptPose:
     def test_noiseless_frames_recover_ground_truth(self, noiseless_dataset):
         ds = noiseless_dataset
-        oracle = NoisyOracleRotation(0.0)
         for frame in ds.frames:
             true_pose = compose(ds.gt_calibration, frame.t_b_ee)
-            got = rpt_pose(
-                ee_subset(frame.cloud), oracle, ds.model, true_pose=true_pose
-            )
+            got = rpt_pose(ee_subset(frame.cloud), ds.model, RptConfig(), true_pose=true_pose)
             assert_pose_close(got, true_pose, atol_t=1e-6, atol_r=1e-6)
 
     def test_rotation_noise_bounds_translation_error(self, noiseless_dataset):
@@ -190,13 +193,13 @@ class TestRptPose:
         # translation component shifts by at most that much
         ds = noiseless_dataset
         r_max = float(np.linalg.norm(ds.model.surface_cloud.points, axis=1).max())
-        oracle = NoisyOracleRotation(5.0)
+        cfg = RptConfig(rotation_sigma_deg=5.0)
         rng = np.random.default_rng(9)
         frame = ds.frames[0]
         true_pose = compose(ds.gt_calibration, frame.t_b_ee)
         ee = ee_subset(frame.cloud)
         for _ in range(25):
-            got = rpt_pose(ee, oracle, ds.model, true_pose=true_pose, rng=rng)
+            got = rpt_pose(ee, ds.model, cfg, true_pose=true_pose, rng=rng)
             theta = rotation_distance(got.rotation, true_pose.rotation)
             bound = math.sqrt(3.0) * 2.0 * math.sin(theta / 2.0) * r_max + 1e-9
             err = float(np.linalg.norm(got.translation - true_pose.translation))

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from depthcal.errors import EmptyCloud, MissingGroundTruth, NoValidCluster
 from depthcal.geometry import LABEL_EE, PointCloud
 from depthcal.segmentation import (
-    NoisyOracleSegmenter,
+    SegmentationConfig,
     _radius_components,
     cluster_filter,
     predict_labels,
@@ -20,31 +20,35 @@ def labeled_cloud(n=1000, seed=0):
     return PointCloud(rng.normal(size=(n, 3)), labels=rng.integers(0, 3, size=n))
 
 
+def oracle_labels(cloud, rng_seed=0, **rates):
+    cfg = SegmentationConfig(**rates)
+    return predict_labels(cloud, cfg, np.random.default_rng(rng_seed)).labels
+
+
 class TestPredictors:
     def test_ground_truth_passthrough(self):
         cloud = labeled_cloud()
-        out = predict_labels(cloud, NoisyOracleSegmenter())
-        assert np.array_equal(out.labels, cloud.labels)
+        assert np.array_equal(oracle_labels(cloud), cloud.labels)
 
     def test_ground_truth_requires_labels(self):
         with pytest.raises(MissingGroundTruth):
-            NoisyOracleSegmenter().predict(PointCloud(np.zeros((4, 3))))
+            oracle_labels(PointCloud(np.zeros((4, 3))))
 
     def test_noisy_with_zero_rates_is_ground_truth(self):
         cloud = labeled_cloud(seed=1)
-        out = predict_labels(cloud, NoisyOracleSegmenter(0.0, 0.0), np.random.default_rng(0))
-        assert np.array_equal(out.labels, cloud.labels)
+        out = oracle_labels(cloud, flip_probability=0.0, speckle_rate=0.0)
+        assert np.array_equal(out, cloud.labels)
 
     def test_flip_rate(self):
         cloud = labeled_cloud(n=50000, seed=2)
-        out = NoisyOracleSegmenter(flip_probability=0.1).predict(cloud, np.random.default_rng(3))
+        out = oracle_labels(cloud, 3, flip_probability=0.1)
         changed = (out != cloud.labels).mean()
         assert abs(changed - 0.1) < 0.01
         assert set(np.unique(out)) <= {0, 1, 2}
 
     def test_speckle_hits_only_non_ee(self):
         cloud = labeled_cloud(n=50000, seed=4)
-        out = NoisyOracleSegmenter(speckle_rate=0.05).predict(cloud, np.random.default_rng(5))
+        out = oracle_labels(cloud, 5, speckle_rate=0.05)
         was_ee = cloud.labels == LABEL_EE
         assert np.array_equal(out[was_ee], cloud.labels[was_ee])
         became = (out[~was_ee] == LABEL_EE).mean()
@@ -52,7 +56,7 @@ class TestPredictors:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyCloud):
-            predict_labels(PointCloud(np.zeros((0, 3))), NoisyOracleSegmenter())
+            oracle_labels(PointCloud(np.zeros((0, 3))))
 
     def test_non_finite_rows_dropped_with_their_labels(self):
         cloud = labeled_cloud(n=6, seed=6)
@@ -61,15 +65,16 @@ class TestPredictors:
         points[4, 2] = np.inf
         ids = np.array([-1, 0, -1, 1, 2, -1])
         out = predict_labels(
-            PointCloud(points, labels=cloud.labels, keypoint_ids=ids), NoisyOracleSegmenter()
+            PointCloud(points, labels=cloud.labels, keypoint_ids=ids),
+            SegmentationConfig(),
+            np.random.default_rng(0),
         )
         keep = [0, 2, 3, 5]
         assert np.array_equal(out.points, cloud.points[keep])
         assert np.array_equal(out.labels, cloud.labels[keep])
         assert np.array_equal(out.keypoint_ids, ids[keep])
         with pytest.raises(EmptyCloud):
-            predict_labels(PointCloud(np.full((3, 3), np.nan), labels=np.zeros(3)),
-                           NoisyOracleSegmenter())
+            oracle_labels(PointCloud(np.full((3, 3), np.nan), labels=np.zeros(3)))
 
 
 def brute_components(points, radius):
@@ -169,14 +174,14 @@ class TestClusterFilter:
         blob = rng.normal(scale=0.01, size=(500, 3))
         speckle = rng.uniform(0.3, 1.0, size=(25, 3)) * rng.choice([-1, 1], size=(25, 3))
         cloud = PointCloud(np.concatenate([blob, speckle]))
-        out = cluster_filter(cloud, linkage_distance=0.03, min_cluster_fraction=0.2)
+        out = cluster_filter(cloud, SegmentationConfig())
         assert len(out) == 500
         assert np.allclose(out.points, blob)
 
     def test_connectivity_of_output(self):
         rng = np.random.default_rng(11)
         cloud = PointCloud(rng.normal(scale=0.01, size=(300, 3)))
-        out = cluster_filter(cloud, 0.03, 0.2)
+        out = cluster_filter(cloud, SegmentationConfig())
         d, _ = cKDTree(out.points).query(out.points, k=2)
         assert d[:, 1].max() <= 0.03
 
@@ -185,14 +190,14 @@ class TestClusterFilter:
         blob = rng.normal(scale=0.005, size=(100, 3))
         left = blob + np.array([0.0, 0.0, 0.0])
         right = blob + np.array([1.0, 0.0, 0.0])
-        out = cluster_filter(PointCloud(np.concatenate([right, left])), 0.03, 0.2)
+        out = cluster_filter(PointCloud(np.concatenate([right, left])), SegmentationConfig())
         assert out.points[:, 0].max() < 0.5
 
     def test_all_below_fraction(self):
         pts = np.arange(10)[:, None] * np.array([1.0, 0.0, 0.0])
         with pytest.raises(NoValidCluster):
-            cluster_filter(PointCloud(pts), 0.03, 0.2)
+            cluster_filter(PointCloud(pts), SegmentationConfig())
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCloud):
-            cluster_filter(PointCloud(np.zeros((0, 3))))
+            cluster_filter(PointCloud(np.zeros((0, 3))), SegmentationConfig())
