@@ -9,8 +9,9 @@ rejected by dotted path.  All JSON output is printed with floats at
 fixed 9-digit precision, so a given config and seed always produce
 byte-identical bytes.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 no usable frames,
-5 frame failed the visibility checks, 6 dataset has no ground truth.
+Exit codes: 0 success, 1 any other depthcal error, 2 config error,
+3 I/O error, 4 no usable frames, 5 frame failed the visibility checks,
+6 dataset has no ground truth.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .calibration import calibrate
 from .errors import (
     ConfigError,
     DatasetError,
+    DepthcalError,
     InvalidDimensions,
     MissingGroundTruth,
     NoUsableFrames,
@@ -285,6 +287,9 @@ def main(argv=None) -> int:
     except MissingGroundTruth as e:
         print(f"error: {e}", file=sys.stderr)
         return 6
+    except DepthcalError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

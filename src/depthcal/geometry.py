@@ -213,6 +213,20 @@ class PointCloud:
         )
 
 
+def voxel_labels(points: np.ndarray, cell: float) -> tuple[int, np.ndarray]:
+    """The number of occupied cubic voxels of edge cell, and each point's voxel.
+
+    Voxels are numbered in lexicographic order of their floor cell
+    coordinates.  They are keyed by the rank of that coordinate on each
+    axis, not by the coordinate itself, so the key space is bounded by
+    n**3 however far apart the points lie and no cell index can overflow.
+    """
+    ranks = [np.unique(np.floor(axis / cell), return_inverse=True)[1] for axis in points.T]
+    flat = np.ravel_multi_index(ranks, [r.max() + 1 for r in ranks])
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    return len(uniq), inverse
+
+
 def compose(a: Pose, b: Pose) -> Pose:
     """Pose equivalent to applying b first, then a."""
     q = a.rotation.multiply(b.rotation)

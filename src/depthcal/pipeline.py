@@ -3,8 +3,9 @@
 One frame flows through segmentation, spatial cluster filtering, a
 visibility sanity check, the two single-frame pose routes (rotation
 prediction + axis-extent translation, and keypoint matching), and
-optional ICP refinement.  Calibration and evaluation both consume the
-FrameEstimate records produced here.
+optional ICP refinement against the cluster thinned once per frame.
+Calibration and evaluation both consume the FrameEstimate records
+produced here; their ee_cloud is the full cluster.
 
 PipelineConfig gathers the stage settings; each stage's section
 dataclass lives next to the stage, and the CLI loads the JSON config
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .geometry import LABEL_EE, PointCloud, Pose, compose
 from .icp import IcpConfig, IcpResult, IcpSource, prepare_source, refine_estimates
-from .icp import NORMAL_NEIGHBOURS, local_pca
+from .icp import NORMAL_NEIGHBOURS, TARGET_VOXEL_SIZE, local_pca, voxel_downsample
 from .kpm import KpmConfig, filter_keypoints, kpm_pose, predict_keypoints
 from .rpt import RptConfig, rpt_pose
 from .segmentation import SegmentationConfig, cluster_filter, predict_labels
@@ -192,8 +193,9 @@ def estimate_frame(
     if cfg.icp.enabled and out.estimates:
         if source is None:
             source = prepare_source(model, cfg.icp)
+        target = voxel_downsample(ee, TARGET_VOXEL_SIZE)
         refined = dict(
-            refine_estimates(ee, [(m.method, m.pose) for m in out.estimates], source, cfg.icp)
+            refine_estimates(target, [(m.method, m.pose) for m in out.estimates], source, cfg.icp)
         )
         for m in out.estimates:
             res = refined.get(m.method)

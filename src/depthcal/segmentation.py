@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, EmptyCloud, MissingGroundTruth, NoValidCluster
-from .geometry import LABEL_EE, PointCloud
+from .geometry import LABEL_EE, PointCloud, voxel_labels
 
 
 @dataclass
@@ -80,10 +80,8 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     Voxel contraction keeps this near O(n log n) on dense clouds: with
     voxel edge radius/sqrt(3) any two points sharing a voxel are within
     radius (the cell diagonal equals the radius), so point components
-    equal components of the voxel graph.  Voxels are keyed by the rank of
-    their cell coordinate on each axis, which keeps the lexicographic
-    voxel order and bounds the key space by n**3 however far apart the
-    points lie.
+    equal components of the voxel graph (voxel_labels keys them by
+    per-axis rank, so a far outlier cannot overflow a cell index).
 
     Two voxels connect iff their point sets come within radius.  Candidate
     pairs come from the voxel centres; a bounding-box gap beyond radius
@@ -97,10 +95,7 @@ def _radius_components(points: np.ndarray, radius: float) -> np.ndarray:
     """
     n = len(points)
     cell = radius / math.sqrt(3.0)
-    ranks = [np.unique(np.floor(axis / cell), return_inverse=True)[1] for axis in points.T]
-    flat = np.ravel_multi_index(ranks, [r.max() + 1 for r in ranks])
-    uniq, inv = np.unique(flat, return_inverse=True)
-    nv = len(uniq)
+    nv, inv = voxel_labels(points, cell)
     if nv == 1:
         return np.zeros(n, dtype=np.int64)
 

@@ -7,9 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
+from depthcal import cli
 from depthcal.cli import CliConfig, from_dict, load_config, main
 from depthcal.dataset_io import read_ply, write_ply
-from depthcal.errors import ConfigError
+from depthcal.errors import ConfigError, EmptyInput
 from depthcal.geometry import LABEL_EE, PointCloud
 
 
@@ -281,6 +282,16 @@ class TestCalibrate:
         bad = workdir / "badicp.json"
         bad.write_text(json.dumps({"icp": {"max_iterations": 0}}))
         assert main(["calibrate", str(dataset_dir), "--config", str(bad)]) == 2
+
+    def test_other_depthcal_error_exit_1(self, dataset_dir, capsys, monkeypatch):
+        def fail(*args):
+            raise EmptyInput("nothing to average")
+
+        monkeypatch.setattr(cli, "calibrate", fail)
+        assert main(["calibrate", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error: nothing to average" in err
+        assert "Traceback" not in err
 
     def test_missing_dataset_exit_3(self, workdir):
         assert main(["calibrate", str(workdir / "nowhere")]) == 3

@@ -1,9 +1,11 @@
 """Tests for ICP pose refinement."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import assert_pose_close
@@ -83,6 +85,63 @@ class TestVoxelDownsample:
         out = voxel_downsample(cloud, 0.02)
         keys = {tuple(k) for k in np.floor(out.points / 0.02).astype(int)}
         assert len(keys) == len(out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.lists(
+            st.tuples(*[st.one_of(
+                st.floats(-0.1, 0.1),
+                # coordinates on voxel faces and repeated across points
+                st.integers(-40, 40).map(lambda k: k * 0.0025),
+            )] * 3),
+            min_size=1,
+            max_size=40,
+        ),
+        repeats=st.lists(st.integers(1, 3), min_size=40, max_size=40),
+        voxel=st.sampled_from([0.001, 0.0025, 0.005, 0.02, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # cell indices beyond int64: 1e17 m and 2e17 m are different voxels
+    @example(
+        base=[(1e17, 0.0, 0.0), (2e17, 0.0, 0.0), (0.0, 0.0, 0.0), (0.001, 0.0, 0.0)],
+        repeats=[1] * 40,
+        voxel=0.005,
+        seed=0,
+    )
+    def test_matches_brute_force_reference(self, base, repeats, voxel, seed):
+        pts = np.repeat(np.array(base, dtype=float), repeats[: len(base)], axis=0)
+        pts = pts[np.random.default_rng(seed).permutation(len(pts))]
+        out = voxel_downsample(PointCloud(pts), voxel)
+        np.testing.assert_array_equal(out.points, pts[reference_voxel_keep(pts, voxel)])
+
+    def test_prepared_source_points_unchanged(self, noiseless_dataset):
+        pts = prepare_source(noiseless_dataset.model).points
+        assert pts.shape == (1158, 3)
+        digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
+        assert digest == "ba71c11bfba3d4b6d0083b27e06be0775325d6dff0c44798bf5b9b81cb722f15"
+
+
+def reference_voxel_keep(pts: np.ndarray, voxel: float) -> list[int]:
+    """Sorted indices voxel thinning keeps, by brute force: group the points
+    by floor cell (Python integers, so no index overflows), keep each
+    group's member nearest its centroid, the lowest index on a tie."""
+    rows = pts.tolist()
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(rows):
+        groups.setdefault(tuple(math.floor(c / voxel) for c in p), []).append(i)
+    keep = []
+    for members in groups.values():
+        # coordinates summed in input order, as float64 accumulates them
+        sums = [0.0, 0.0, 0.0]
+        for i in members:
+            sums = [s + c for s, c in zip(sums, rows[i])]
+        centroid = [s / len(members) for s in sums]
+
+        def dist(i):
+            return math.sqrt(sum((c - m) * (c - m) for c, m in zip(rows[i], centroid)))
+
+        keep.append(min(members, key=lambda i: (dist(i), i)))
+    return sorted(keep)
 
 
 class TestIcpRefine:

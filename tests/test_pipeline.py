@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_pose_close
+from depthcal import pipeline
 from depthcal.geometry import LABEL_BACKGROUND, LABEL_EE, PointCloud, Pose, compose
 from depthcal.calibration import CalibrationConfig
-from depthcal.icp import prepare_source
+from depthcal.icp import TARGET_VOXEL_SIZE, prepare_source
 from depthcal.kpm import KpmConfig
 from depthcal.pipeline import (
     FrameEstimate,
@@ -266,6 +267,35 @@ class TestNoisyRun:
             for m in fe.estimates:
                 hist = np.asarray(m.icp.rmse_history)
                 assert (np.diff(hist) <= 1e-12).all()
+
+
+class TestIcpTarget:
+    def test_icp_pairs_against_the_thinned_cluster(self, noisy_dataset, noisy_cfg, monkeypatch):
+        clusters, targets = [], []
+
+        def spy(fn, seen):
+            def wrapper(*args):
+                seen.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "cluster_filter", spy(pipeline.cluster_filter, clusters))
+        monkeypatch.setattr(pipeline, "refine_estimates", spy(pipeline.refine_estimates, targets))
+        estimates = estimate_frames(noisy_dataset, noisy_cfg)
+        # one thinning per frame, shared by both candidates
+        assert len(targets) == len(clusters) == len(estimates)
+        for (target, candidates, *_), (labeled, seg_cfg), fe in zip(targets, clusters, estimates):
+            assert [tag for tag, _ in candidates] == ["rpt", "kpm"]
+            # ee_cloud is still the whole cluster
+            np.testing.assert_array_equal(
+                fe.ee_cloud.points, pipeline.cluster_filter(labeled, seg_cfg).points
+            )
+            # the target: an exact row subset with one point per voxel
+            rows = {tuple(p) for p in fe.ee_cloud.points.tolist()}
+            assert all(tuple(p) in rows for p in target.points.tolist())
+            voxels = np.unique(np.floor(target.points / TARGET_VOXEL_SIZE), axis=0)
+            assert len(voxels) == len(target) < len(fe.ee_cloud)
 
 
 class TestAdaptiveSettings:
