@@ -198,7 +198,7 @@ def calibration_from_estimates(
     method_counts: dict[str, int] = {}
     rejected = 0
     for fe in frame_estimates:
-        if fe.skipped_reason is not None or not fe.estimates:
+        if not fe.usable:
             rejected += 1
             continue
         for est in fe.estimates:

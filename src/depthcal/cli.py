@@ -42,7 +42,7 @@ from .evaluation import (
     translation_error,
 )
 from .dataset_io import json_bytes, load_dataset, save_dataset
-from .pipeline import PipelineConfig, estimate_frame, resolve_config
+from .pipeline import PipelineConfig, dataset_source, estimate_frame
 from .simulator import SimulatorConfig, default_scenario, generate_dataset
 
 
@@ -179,8 +179,9 @@ def cmd_estimate(args) -> int:
         dataset.frames[args.frame],
         args.frame,
         dataset.model,
-        resolve_config(dataset, cfg),
+        cfg,
         dataset.gt_calibration,
+        dataset_source(dataset, cfg),
     )
     if fe.skipped_reason is not None:
         print(f"frame {args.frame} unusable: {fe.skipped_reason}", file=sys.stderr)

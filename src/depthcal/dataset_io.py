@@ -153,6 +153,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         gt = manifest.get("gt_calibration")
         gt_calibration = None if gt is None else Pose.from_dict(gt)
         model = build_ee_model(EEModelParams.from_dict(manifest["ee_model"]))
+        warnings = list(manifest.get("warnings", []))
     except (KeyError, TypeError, ValueError, InvalidDimensions, DegenerateGeometry) as e:
         raise DatasetError(f"{manifest_path} is malformed: {type(e).__name__}: {e}") from e
     return Dataset(
@@ -160,5 +161,5 @@ def load_dataset(directory: Path | str) -> Dataset:
         gt_calibration=gt_calibration,
         model=model,
         scenario=manifest.get("scenario", {}),
-        warnings=list(manifest.get("warnings", [])),
+        warnings=warnings,
     )

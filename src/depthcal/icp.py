@@ -3,9 +3,9 @@
 The model surface cloud (source), placed at the initial pose estimate,
 is iteratively matched against the segmented sensor points (target).
 The pipeline passes the sensor cluster thinned once per frame to one
-point per TARGET_VOXEL_SIZE voxel (the point selection of Rusinkiewicz
-& Levoy 2001), shared by every candidate of the frame; thinning keeps
-input points, so on exact data every pair is still an exact twin.
+point per VOXEL_SIZE voxel (the point selection of Rusinkiewicz & Levoy
+2001), shared by every candidate of the frame; thinning keeps input
+points, so on exact data every pair is still an exact twin.
 Pairing is target-driven: every target point claims its nearest model
 point within a distance gate.  Model regions the sensor cannot see
 (back faces, self-occluded geometry) never initiate pairs, so they
@@ -24,28 +24,30 @@ not constrain (in-plane motion over one flat face) are left still.
 Steps that would increase the point-to-point inlier RMSE are rejected,
 so the reported objective is non-increasing by construction.
 
-The source depends only on the model and the config, so prepare_source
-builds it once per model and every frame and candidate reuses it: the
-distinct thinned model points in the model's own frame (the model
-repeats points on shared edges; each position counts once), their
-KD-tree, and their PCA normals.  Each search maps the sensor points
-back by the inverse of the cumulative placement pose and queries that
-one tree; each step turns the partners' normals by the same placement.
-Rigid motion preserves distances, so the pairs are those of a search
-over the placed source, without a tree built per search.  Pair
-distances and the gate are measured in the sensor frame.
+prepare_source builds the source once per model and every frame and
+candidate reuses it: the distinct model points in the model's own frame
+(the model repeats points on shared edges; each position counts once),
+their KD-tree, and their PCA normals.  The model is thinned at
+VOXEL_SIZE too, unless a measurement of the sensor points finds them
+exact: then only the full-resolution model gives an exact fit.  Each
+search maps the sensor points back by the inverse of the cumulative
+placement pose and queries that one tree; each step turns the
+partners' normals by the same placement.  Rigid motion preserves
+distances, so the pairs are those of a search over the placed source,
+without a tree built per search.  Pair distances and the gate are
+measured in the sensor frame.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, NoCorrespondences, TooFewPoints
+from .errors import NoCorrespondences, TooFewPoints
 from .geometry import PointCloud, Pose, Quaternion, compose, invert, voxel_labels
 from .simulator import EEModel
 
@@ -53,8 +55,13 @@ log = logging.getLogger(__name__)
 
 MIN_ICP_POINTS = 10
 
-# voxel edge (m) of the pipeline's per-frame thinning of the ICP target
-TARGET_VOXEL_SIZE = 0.005
+# voxel edge (m) of the thinning of both clouds: the model source (on
+# inexact data) and the pipeline's per-frame target
+VOXEL_SIZE = 0.005
+# pairs farther apart than this (m) are not formed
+MAX_CORRESPONDENCE_DISTANCE = 0.02
+# a run that has not converged stops after this many steps
+MAX_ITERATIONS = 50
 
 # each source normal is the least-variance axis of this many nearest
 # source points, the point itself included
@@ -67,6 +74,9 @@ EPS_ABS = 1e-12
 # by less than these fractions of their values
 RELATIVE_RMSE_EPSILON = 1e-6
 RELATIVE_FITNESS_EPSILON = 1e-6
+# median local plane residual (m) below which sensor points count as exact:
+# noiseless renders read under 1 nm, sensor noise of 10 um about 9 um
+EXACT_SURFACE_RMS = 1e-6
 
 
 @dataclass
@@ -75,18 +85,6 @@ class IcpConfig:
 
     # False skips refinement; the raw route poses are used
     enabled: bool = True
-    max_correspondence_distance: float = 0.02
-    max_iterations: int = 50
-    # voxel thinning of the model source (prepare_source); 0 keeps every point
-    source_voxel_size: float = 0.005
-
-    def __post_init__(self):
-        if self.max_correspondence_distance <= 0:
-            raise ConfigError("max_correspondence_distance must be positive")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
-        if self.source_voxel_size < 0:
-            raise ConfigError("source_voxel_size must be non-negative")
 
 
 @dataclass
@@ -97,7 +95,7 @@ class IcpResult:
     and fitness settled, or the next step would raise the inlier RMSE
     (the guard stop: on noisy data the plane and point-to-point minima
     differ by about the noise, and steps between them stop lowering the
-    RMSE).  It is False when the run used up max_iterations or lost
+    RMSE).  It is False when the run used up MAX_ITERATIONS or lost
     every pair.
     """
 
@@ -161,10 +159,27 @@ def _pca_normals(tree: cKDTree) -> np.ndarray:
     return local_pca(tree, tree.data)[1][:, :, 0]
 
 
-def prepare_source(model: EEModel, cfg: IcpConfig | None = None) -> IcpSource:
-    """The model's ICP source, thinned as the config asks."""
-    cfg = cfg or IcpConfig()
-    return IcpSource(voxel_downsample(model.surface_cloud, cfg.source_voxel_size).points)
+def prepare_source(model: EEModel, clouds: Iterable[PointCloud] = ()) -> IcpSource:
+    """The model's ICP source, at the resolution the sensor clouds support.
+
+    The first cloud with at least NORMAL_NEIGHBOURS finite points is
+    measured: about 256 of its points each take the RMS distance of their
+    NORMAL_NEIGHBOURS nearest neighbours to their best-fit plane.  Below
+    EXACT_SURFACE_RMS in the median, the points reproduce model surface
+    points exactly, and only the full-resolution model gives an exact
+    fit.  Otherwise, or with nothing to measure, the points are
+    noise-limited and the model thinned at VOXEL_SIZE is just as
+    accurate and much faster.
+    """
+    voxel = VOXEL_SIZE
+    for cloud in clouds:
+        pts = cloud.points[np.isfinite(cloud.points).all(axis=1)]
+        if len(pts) >= NORMAL_NEIGHBOURS:
+            least = local_pca(cKDTree(pts), pts[:: max(1, len(pts) // 256)])[0][:, 0]
+            if np.median(np.sqrt(np.abs(least) / NORMAL_NEIGHBOURS)) < EXACT_SURFACE_RMS:
+                voxel = 0.0
+            break
+    return IcpSource(voxel_downsample(model.surface_cloud, voxel).points)
 
 
 class _NearestSource:
@@ -235,7 +250,6 @@ def _register(
     src_pts: np.ndarray,
     normals: np.ndarray,
     pairs: _NearestSource,
-    cfg: IcpConfig,
     si: np.ndarray,
     ti: np.ndarray,
     d: np.ndarray,
@@ -257,7 +271,7 @@ def _register(
     iterations_used = 0
     converged = False
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         step = _plane_step(cur[si], tgt[ti], place.rotation.rotate(normals[si]))
         cand = step.apply(cur)
         cand_place = compose(step, place)
@@ -285,18 +299,12 @@ def _register(
     return place, fitness, rmse, iterations_used, converged, history
 
 
-def icp_refine(
-    source: IcpSource,
-    target: PointCloud,
-    initial: Pose,
-    cfg: IcpConfig | None = None,
-) -> IcpResult:
+def icp_refine(source: IcpSource, target: PointCloud, initial: Pose) -> IcpResult:
     """Refine `initial` so the source, placed there, matches the target cloud.
 
     refined_pose is the final placement of source.points: `initial` with
     every accepted step composed onto it.
     """
-    cfg = cfg or IcpConfig()
     n_src = len(source.points)
     if n_src < MIN_ICP_POINTS or len(target) < MIN_ICP_POINTS:
         raise TooFewPoints(
@@ -307,15 +315,15 @@ def icp_refine(
         raise ValueError("initial pose translation is not finite")
 
     src0 = initial.apply(source.points)
-    pairs = _NearestSource(target.points, cfg.max_correspondence_distance, source.tree)
+    pairs = _NearestSource(target.points, MAX_CORRESPONDENCE_DISTANCE, source.tree)
     si, ti, d = pairs(src0, initial)
     if len(si) == 0:
         raise NoCorrespondences(
-            "no target point within max_correspondence_distance of the "
+            "no target point within MAX_CORRESPONDENCE_DISTANCE of the "
             "initial placement; the initialization is too far off"
         )
     place, fitness, rmse, iterations_used, converged, history = _register(
-        src0, source.normals, pairs, cfg, si, ti, d, initial
+        src0, source.normals, pairs, si, ti, d, initial
     )
 
     return IcpResult(
@@ -332,7 +340,6 @@ def refine_estimates(
     target: PointCloud,
     candidates: Sequence[tuple[str, Pose]],
     source: IcpSource,
-    cfg: IcpConfig | None = None,
 ) -> list[tuple[str, IcpResult]]:
     """Run ICP against one target cloud from every initial pose candidate.
 
@@ -340,11 +347,10 @@ def refine_estimates(
     correspondences, too few points) are logged and skipped; with no
     survivors the caller drops the frame.
     """
-    cfg = cfg or IcpConfig()
     out = []
     for tag, pose in candidates:
         try:
-            out.append((tag, icp_refine(source, target, pose, cfg)))
+            out.append((tag, icp_refine(source, target, pose)))
         except (NoCorrespondences, TooFewPoints) as e:
             log.warning("ICP for %s candidate failed: %s", tag, e)
     return out

@@ -12,8 +12,8 @@ dataclass lives next to the stage, and the CLI loads the JSON config
 file straight into them.  Each stage function takes its own section
 as an argument; the three learned models of the paper (segmentation,
 rotation, keypoints) are simulator oracles inside predict_labels,
-rpt_pose and predict_keypoints.  resolve_config picks the ICP source
-resolution from one measurement of the dataset's points.
+rpt_pose and predict_keypoints.  dataset_source prepares the one ICP
+source that every frame of a dataset shares.
 
 Randomness is reproducible per frame: every frame derives its own
 generator streams from (seed, frame index), so results do not depend
@@ -25,10 +25,9 @@ from __future__ import annotations
 import logging
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .calibration import CalibrationConfig, sanity_check
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .geometry import LABEL_EE, PointCloud, Pose, compose
 from .icp import IcpConfig, IcpResult, IcpSource, prepare_source, refine_estimates
-from .icp import NORMAL_NEIGHBOURS, TARGET_VOXEL_SIZE, local_pca, voxel_downsample
+from .icp import VOXEL_SIZE, voxel_downsample
 from .kpm import KpmConfig, filter_keypoints, kpm_pose, predict_keypoints
 from .rpt import RptConfig, rpt_pose
 from .segmentation import SegmentationConfig, cluster_filter, predict_labels
@@ -77,8 +76,11 @@ class MethodEstimate:
 
     method: str
     pose: Pose
-    refined_pose: Pose | None = None
     icp: IcpResult | None = None
+
+    @property
+    def refined_pose(self) -> Pose | None:
+        return None if self.icp is None else self.icp.refined_pose
 
     def chosen_pose(self, use_icp: bool = True) -> Pose:
         if use_icp and self.refined_pose is not None:
@@ -100,31 +102,12 @@ class FrameEstimate:
         return self.skipped_reason is None and bool(self.estimates)
 
 
-# median local plane residual (m) below which the points count as exact:
-# noiseless renders read under 1 nm, sensor noise of 10 um about 9 um
-EXACT_SURFACE_RMS = 1e-6
-
-
-def resolve_config(dataset: Dataset, cfg: PipelineConfig) -> PipelineConfig:
-    """cfg with the ICP source resolution keyed on the measured sensor noise.
-
-    The measurement samples about 256 points of the first frame with at
-    least NORMAL_NEIGHBOURS finite points and takes, for each, the RMS
-    distance of its NORMAL_NEIGHBOURS nearest neighbours to their
-    best-fit plane.  Below EXACT_SURFACE_RMS in the median, the cloud
-    reproduces model surface points exactly, so registration against the
-    full-resolution model is both possible and required for exactness.
-    Otherwise the cloud is noise-limited; the voxel-thinned source from
-    the config is just as accurate and much faster.
-    """
-    for frame in dataset.frames:
-        pts = frame.cloud.points[np.isfinite(frame.cloud.points).all(axis=1)]
-        if len(pts) >= NORMAL_NEIGHBOURS:
-            least = local_pca(cKDTree(pts), pts[:: max(1, len(pts) // 256)])[0][:, 0]
-            if np.median(np.sqrt(np.abs(least) / NORMAL_NEIGHBOURS)) < EXACT_SURFACE_RMS:
-                return replace(cfg, icp=replace(cfg.icp, source_voxel_size=0.0))
-            break
-    return cfg
+def dataset_source(dataset: Dataset, cfg: PipelineConfig) -> IcpSource | None:
+    """The ICP source every frame of the dataset shares, measured on its
+    points (see prepare_source); None when the config turns ICP off."""
+    if not cfg.icp.enabled:
+        return None
+    return prepare_source(dataset.model, (frame.cloud for frame in dataset.frames))
 
 
 def estimate_frame(
@@ -139,10 +122,8 @@ def estimate_frame(
 
     Frames the flow cannot use (no end-effector points, no valid
     cluster, failed sanity check) come back with a skipped_reason
-    instead of raising.  cfg is used as given; callers with dataset
-    context pass it through resolve_config first.  source is the
-    model's ICP source prepared with cfg.icp; without one, ICP
-    prepares its own.
+    instead of raising.  source is the model's ICP source (see
+    dataset_source); without one the route poses are not refined.
     """
     cfg = cfg or PipelineConfig()
     out = FrameEstimate(frame_index, frame.config_id, frame.t_b_ee, None)
@@ -190,26 +171,19 @@ def estimate_frame(
     except (TooFewKeypoints, MissingGroundTruth, DegenerateGeometry, EmptyCloud) as e:
         log.info("frame %d: keypoint route unavailable: %s", frame_index, e)
 
-    if cfg.icp.enabled and out.estimates:
-        if source is None:
-            source = prepare_source(model, cfg.icp)
-        target = voxel_downsample(ee, TARGET_VOXEL_SIZE)
-        refined = dict(
-            refine_estimates(target, [(m.method, m.pose) for m in out.estimates], source, cfg.icp)
-        )
+    if source is not None and out.estimates:
+        target = voxel_downsample(ee, VOXEL_SIZE)
+        candidates = [(m.method, m.pose) for m in out.estimates]
+        refined = dict(refine_estimates(target, candidates, source))
         for m in out.estimates:
-            res = refined.get(m.method)
-            if res is not None:
-                m.refined_pose = res.refined_pose
-                m.icp = res
+            m.icp = refined.get(m.method)
     return out
 
 
 def estimate_frames(dataset: Dataset, cfg: PipelineConfig | None = None) -> list[FrameEstimate]:
     """Estimate every frame of a dataset, optionally with worker threads."""
-    cfg = resolve_config(dataset, cfg or PipelineConfig())
-    # one ICP source for all frames
-    source = prepare_source(dataset.model, cfg.icp) if cfg.icp.enabled else None
+    cfg = cfg or PipelineConfig()
+    source = dataset_source(dataset, cfg)
 
     def one(item: tuple[int, Frame]) -> FrameEstimate:
         i, frame = item

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -11,7 +12,7 @@ from depthcal import cli
 from depthcal.cli import CliConfig, from_dict, load_config, main
 from depthcal.dataset_io import read_ply, write_ply
 from depthcal.errors import ConfigError, EmptyInput
-from depthcal.geometry import LABEL_EE, PointCloud
+from depthcal.geometry import LABEL_EE, PointCloud, Pose, compose, rotation_distance
 
 
 def copy_dataset(src, dst, edit_manifest=None):
@@ -59,9 +60,10 @@ class TestConfigHandling:
         assert CliConfig().icp.enabled is True
 
     def test_partial_overlay_keeps_other_defaults(self):
-        cfg = from_dict(CliConfig, {"icp": {"max_iterations": 7}})
-        assert cfg.icp.max_iterations == 7
-        assert cfg.icp.source_voxel_size == 0.005
+        cfg = from_dict(CliConfig, {"kpm": {"dropout": 0.2}})
+        assert cfg.kpm.dropout == 0.2
+        assert cfg.kpm.snap_radius_m == 0.01
+        assert cfg.icp.enabled is True
         assert cfg.seed == 0
 
     def test_unknown_key_named_in_error(self):
@@ -103,6 +105,9 @@ class TestConfigHandling:
                 ("calibration.translation_outlier_mode", "union"),
                 ("icp.relative_rmse_epsilon", 1e-6),
                 ("icp.relative_fitness_epsilon", 1e-6),
+                ("icp.source_voxel_size", 0.005),
+                ("icp.max_correspondence_distance", 0.02),
+                ("icp.max_iterations", 50),
                 ("simulator.with_background", True),
                 ("kpm.quality_radius_m", 0.03),
             ]
@@ -142,7 +147,7 @@ class TestConfigHandling:
             {"kpm": {"dropout": 1.5}},
             {"kpm": {"snap_radius_m": 0}},
             {"icp": {"enabled": "no"}},
-            {"icp": {"max_iterations": 7.5}},
+            {"calibration": {"min_ee_points": 7.5}},
             {"kpm": {"sigma_m": True}},
             {"evaluation": {"add_thresholds": 0.01}},
             {"evaluation": {"add_thresholds": ["x"]}},
@@ -181,7 +186,7 @@ class TestConfigHandling:
             "kpm_dropout_above_one",
             "snap_radius_zero",
             "icp_enabled_string",
-            "max_iterations_fraction",
+            "min_ee_points_fraction",
             "kpm_sigma_bool",
             "add_thresholds_number",
             "add_thresholds_string_element",
@@ -222,10 +227,10 @@ class TestConfigHandling:
         # an integer passes for a number, and a null default takes an object
         cfg = from_dict(
             CliConfig,
-            {"icp": {"max_correspondence_distance": 1},
+            {"segmentation": {"linkage_distance": 1},
              "simulator": {"occlusion": {"axis": 2, "threshold": 0.3, "remove_above": True}}},
         )
-        assert cfg.icp.max_correspondence_distance == 1
+        assert cfg.segmentation.linkage_distance == 1
         assert cfg.simulator.occlusion is not None
 
 
@@ -280,7 +285,7 @@ class TestCalibrate:
 
     def test_bad_icp_value_exit_2(self, workdir, dataset_dir):
         bad = workdir / "badicp.json"
-        bad.write_text(json.dumps({"icp": {"max_iterations": 0}}))
+        bad.write_text(json.dumps({"icp": {"enabled": 0}}))
         assert main(["calibrate", str(dataset_dir), "--config", str(bad)]) == 2
 
     def test_other_depthcal_error_exit_1(self, dataset_dir, capsys, monkeypatch):
@@ -373,10 +378,20 @@ class TestEstimate:
         tags = {(c["method"], c["refined"]) for c in payload["candidates"]}
         assert tags == {("rpt", False), ("rpt", True), ("kpm", False), ("kpm", True)}
         refined = [c for c in payload["candidates"] if c["refined"]]
+        # noiseless points: the measured source is the full-resolution
+        # model, and the fit is exact (the thinned one misses by ~0.1 mm)
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        true_pose = compose(
+            Pose.from_dict(manifest["gt_calibration"]),
+            Pose.from_dict(manifest["frames"][0]["t_b_ee"]),
+        )
         for c in refined:
             assert {"fitness", "inlier_rmse", "iterations_used", "converged"} <= set(
                 c["icp"]
             )
+            pose = Pose.from_dict(c["pose"])
+            assert np.linalg.norm(pose.translation - true_pose.translation) < 1e-6
+            assert math.degrees(rotation_distance(pose.rotation, true_pose.rotation)) < 1e-4
 
     def test_bad_index_exit_2(self, dataset_dir, capsys):
         assert main(["estimate", str(dataset_dir), "--frame", "99"]) == 2
@@ -481,6 +496,7 @@ class TestMalformedManifest:
             lambda m: m["gt_calibration"]["t"].__setitem__(2, float("-inf")),
             lambda m: m["gt_calibration"]["q"].__setitem__(0, float("nan")),
             lambda m: m["gt_calibration"].update(q=[0.0, 0.0, 0.0, 0.0]),
+            lambda m: m.update(warnings=5),
         ],
         ids=[
             "t_b_ee_t_nan",
@@ -489,6 +505,7 @@ class TestMalformedManifest:
             "gt_calibration_t_inf",
             "gt_calibration_q_nan",
             "gt_calibration_q_zero",
+            "warnings_not_a_list",
         ],
     )
     def test_bad_pose_value_exit_3(self, tmp_path, dataset_dir, capsys, edit):

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from conftest import assert_pose_close
 from depthcal import icp
 from depthcal.calibration import calibrate
-from depthcal.errors import ConfigError, NoCorrespondences, TooFewPoints
+from depthcal.errors import NoCorrespondences, TooFewPoints
 from depthcal.geometry import (
     LABEL_EE,
     PointCloud,
@@ -21,7 +21,6 @@ from depthcal.geometry import (
     rotation_distance,
 )
 from depthcal.icp import (
-    IcpConfig,
     IcpSource,
     _NearestSource,
     icp_refine,
@@ -233,7 +232,7 @@ class TestIcpRefine:
             ee = ee_subset(frame.cloud)
             res = icp_refine(source, ee, start)
             assert res.converged
-            assert 0 < res.iterations_used < IcpConfig().max_iterations
+            assert 0 < res.iterations_used < icp.MAX_ITERATIONS
             again = icp_refine(source, ee, res.refined_pose)
             assert again.converged
             if again.iterations_used == 0:
@@ -242,13 +241,13 @@ class TestIcpRefine:
                 assert again.rmse_history == [again.inlier_rmse]
         assert guard_stops >= 3
 
-    def test_iteration_cap_is_not_converged(self, noiseless_dataset):
+    def test_iteration_cap_is_not_converged(self, noiseless_dataset, monkeypatch):
         ds = noiseless_dataset
         frame = ds.frames[0]
         gt = compose(ds.gt_calibration, frame.t_b_ee)
         start = perturbed(gt, [0.006, -0.004, 0.003], [0.3, 1.0, -0.2], 3.0)
-        cfg = IcpConfig(max_iterations=1)
-        res = icp_refine(model_source(ds), ee_subset(frame.cloud), start, cfg)
+        monkeypatch.setattr(icp, "MAX_ITERATIONS", 1)
+        res = icp_refine(model_source(ds), ee_subset(frame.cloud), start)
         assert res.iterations_used == 1
         assert not res.converged
 
@@ -356,17 +355,17 @@ class TestModelFrameSearch:
         # every placement: same steps, same pairs
         ds = noisy_dataset
         source = prepare_source(ds.model)
-        cfg = IcpConfig()
+        gate = icp.MAX_CORRESPONDENCE_DISTANCE
         for frame in ds.frames[:3]:
             gt = compose(ds.gt_calibration, frame.t_b_ee)
             start = perturbed(gt, [0.004, -0.003, 0.002], [0.5, 1.0, -0.3], 2.0)
             tgt = ee_subset(frame.cloud).points
             src0 = start.apply(source.points)
-            model_frame = _NearestSource(tgt, cfg.max_correspondence_distance, source.tree)
-            fresh = FreshSearch(tgt, cfg.max_correspondence_distance)
+            model_frame = _NearestSource(tgt, gate, source.tree)
+            fresh = FreshSearch(tgt, gate)
             args = (src0, source.normals)
-            a = icp._register(*args, model_frame, cfg, *model_frame(src0, start), start)
-            b = icp._register(*args, fresh, cfg, *fresh(src0), start)
+            a = icp._register(*args, model_frame, *model_frame(src0, start), start)
+            b = icp._register(*args, fresh, *fresh(src0), start)
             assert a[1:] == b[1:]
             assert a[0].to_dict() == b[0].to_dict()
             assert a[3] > 1
@@ -449,16 +448,6 @@ class TestPreparedSource:
             trees.append(calls["cKDTree"])
         assert len(noisy_dataset.frames) == 2 * len(six.frames)
         assert trees[0] == trees[1]
-
-
-class TestIcpConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            IcpConfig(max_correspondence_distance=0.0)
-        with pytest.raises(ConfigError):
-            IcpConfig(max_iterations=0)
-        with pytest.raises(ConfigError):
-            IcpConfig(source_voxel_size=-1.0)
 
 
 class TestRefineEstimates:

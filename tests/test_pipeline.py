@@ -10,7 +10,7 @@ from conftest import assert_pose_close
 from depthcal import pipeline
 from depthcal.geometry import LABEL_BACKGROUND, LABEL_EE, PointCloud, Pose, compose
 from depthcal.calibration import CalibrationConfig
-from depthcal.icp import TARGET_VOXEL_SIZE, prepare_source
+from depthcal.icp import VOXEL_SIZE, IcpResult, IcpSource, prepare_source, voxel_downsample
 from depthcal.kpm import KpmConfig
 from depthcal.pipeline import (
     FrameEstimate,
@@ -18,7 +18,6 @@ from depthcal.pipeline import (
     PipelineConfig,
     estimate_frame,
     estimate_frames,
-    resolve_config,
 )
 from depthcal.rpt import RptConfig
 from depthcal.segmentation import SegmentationConfig
@@ -46,7 +45,7 @@ def noisy_cfg():
 
 @pytest.fixture(scope="module")
 def degenerate_source(noisy_dataset, noisy_cfg):
-    return prepare_source(noisy_dataset.model, noisy_cfg.icp)
+    return pipeline.dataset_source(noisy_dataset, noisy_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +79,7 @@ def frame_estimates_equal(a: FrameEstimate, b: FrameEstimate) -> bool:
 class TestMethodEstimate:
     def test_chosen_pose_prefers_refinement(self):
         raw, fine = Pose.identity(), Pose.identity()
-        est = MethodEstimate("rpt", raw, refined_pose=fine)
+        est = MethodEstimate("rpt", raw, icp=IcpResult(fine, 1.0, 0.0, 1, True))
         assert est.chosen_pose(use_icp=True) is fine
         assert est.chosen_pose(use_icp=False) is raw
         assert MethodEstimate("rpt", raw).chosen_pose(use_icp=True) is raw
@@ -144,12 +143,14 @@ class TestNonFinitePoints:
             labels=np.append(c.labels, LABEL_EE),
             keypoint_ids=np.append(c.keypoint_ids, -1),
         )
-        cfg = resolve_config(ds, PipelineConfig())
-        clean = estimate_frame(frame, 0, ds.model, cfg, ds.gt_calibration)
+        cfg = PipelineConfig()
+        source = pipeline.dataset_source(ds, cfg)
+        clean = estimate_frame(frame, 0, ds.model, cfg, ds.gt_calibration, source)
         nan = estimate_frame(
-            dataclasses.replace(frame, cloud=spoiled), 0, ds.model, cfg, ds.gt_calibration
+            dataclasses.replace(frame, cloud=spoiled), 0, ds.model, cfg, ds.gt_calibration, source
         )
         assert clean.usable
+        assert all(m.refined_pose is not None for m in clean.estimates)
         assert frame_estimates_equal(nan, clean)
 
     def test_all_nan_frame_skipped_at_segmentation(self, noiseless_dataset):
@@ -228,22 +229,20 @@ class TestDeterminism:
             assert frame_estimates_equal(a, b)
 
     def test_frame_results_independent_of_batch(
-        self, noisy_dataset, noisy_cfg, noisy_estimates
+        self, noisy_dataset, noisy_cfg, noisy_estimates, degenerate_source
     ):
         # one frame estimated on its own must reproduce the batch result,
         # proving the rng streams derive from (seed, frame index) alone
         ds = noisy_dataset
         alone = estimate_frame(
-            ds.frames[5], 5, ds.model, resolve_config(ds, noisy_cfg), ds.gt_calibration
+            ds.frames[5], 5, ds.model, noisy_cfg, ds.gt_calibration, degenerate_source
         )
         assert frame_estimates_equal(alone, noisy_estimates[5])
 
     def test_seed_changes_predictions(self, noisy_dataset, noisy_cfg, noisy_estimates):
         ds = noisy_dataset
         other_cfg = dataclasses.replace(noisy_cfg, seed=3)
-        other = estimate_frame(
-            ds.frames[5], 5, ds.model, resolve_config(ds, other_cfg), ds.gt_calibration
-        )
+        other = estimate_frame(ds.frames[5], 5, ds.model, other_cfg, ds.gt_calibration)
         base = noisy_estimates[5]
         assert not poses_equal(other.estimates[0].pose, base.estimates[0].pose)
 
@@ -294,32 +293,36 @@ class TestIcpTarget:
             # the target: an exact row subset with one point per voxel
             rows = {tuple(p) for p in fe.ee_cloud.points.tolist()}
             assert all(tuple(p) in rows for p in target.points.tolist())
-            voxels = np.unique(np.floor(target.points / TARGET_VOXEL_SIZE), axis=0)
+            voxels = np.unique(np.floor(target.points / VOXEL_SIZE), axis=0)
             assert len(voxels) == len(target) < len(fe.ee_cloud)
 
 
 class TestAdaptiveSettings:
-    # the noise regime is measured on the points: neither fixture keeps
-    # the simulator's record of how it was rendered
+    # the ICP source resolution is measured on the points, not read from
+    # the simulator's record of how they were rendered
     def test_icp_source_resolution_keyed_on_sensor_noise(
         self, noiseless_dataset, noisy_dataset
     ):
-        cfg = PipelineConfig()
-        exact = resolve_config(dataclasses.replace(noiseless_dataset, scenario={}), cfg)
-        assert exact.icp.source_voxel_size == 0.0
-        assert exact.icp.max_correspondence_distance == cfg.icp.max_correspondence_distance
-        assert exact.rpt == cfg.rpt
-        assert resolve_config(dataclasses.replace(noisy_dataset, scenario={}), cfg) == cfg
+        model = noiseless_dataset.model
+        full = IcpSource(model.surface_cloud.points).points
+        thinned = IcpSource(voxel_downsample(model.surface_cloud, VOXEL_SIZE).points).points
+        assert len(thinned) < len(full)
+        exact = prepare_source(model, [f.cloud for f in noiseless_dataset.frames])
+        np.testing.assert_array_equal(exact.points, full)
+        noisy = prepare_source(model, [f.cloud for f in noisy_dataset.frames])
+        np.testing.assert_array_equal(noisy.points, thinned)
 
     def test_frames_without_enough_points_defer_to_the_next(
         self, noiseless_dataset, noisy_dataset
     ):
-        cfg = PipelineConfig()
-        empty = Frame(PointCloud(np.zeros((0, 3))), config_id=0, t_b_ee=Pose.identity())
-        nan = Frame(PointCloud(np.full((50, 3), np.nan)), config_id=0, t_b_ee=Pose.identity())
-        for ds, voxel in ((noiseless_dataset, 0.0), (noisy_dataset, cfg.icp.source_voxel_size)):
-            ds = dataclasses.replace(ds, frames=[empty, nan, *ds.frames], scenario={})
-            assert resolve_config(ds, cfg).icp.source_voxel_size == voxel
-        # nothing to measure: the config stands
-        nothing = dataclasses.replace(noiseless_dataset, frames=[empty, nan], scenario={})
-        assert resolve_config(nothing, cfg) == cfg
+        model = noiseless_dataset.model
+        full = IcpSource(model.surface_cloud.points).points
+        thinned = IcpSource(voxel_downsample(model.surface_cloud, VOXEL_SIZE).points).points
+        empty = PointCloud(np.zeros((0, 3)))
+        nan = PointCloud(np.full((50, 3), np.nan))
+        for ds, want in ((noiseless_dataset, full), (noisy_dataset, thinned)):
+            clouds = [empty, nan, *(f.cloud for f in ds.frames)]
+            np.testing.assert_array_equal(prepare_source(model, clouds).points, want)
+        # nothing to measure: the thinned source
+        for clouds in ([empty, nan], []):
+            np.testing.assert_array_equal(prepare_source(model, clouds).points, thinned)
