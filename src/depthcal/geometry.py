@@ -279,31 +279,18 @@ def kabsch_fit(source: np.ndarray, target: np.ndarray) -> Pose:
     return Pose(q, tc - q.rotate(sc))
 
 
-def quaternion_average(
-    quaternions: Iterable[Quaternion], weights: Sequence[float] | None = None
-) -> Quaternion:
-    """Weighted mean orientation.
+def quaternion_average(quaternions: Iterable[Quaternion]) -> Quaternion:
+    """Mean orientation.
 
-    Largest eigenvector of the weighted outer-product accumulator
-    sum w_i q_i q_i^T, which is invariant to per-quaternion sign flips.
+    Largest eigenvector of the outer-product accumulator sum q_i q_i^T,
+    which is invariant to per-quaternion sign flips.
     """
     qs = [q.as_array() for q in quaternions]
     if not qs:
         raise EmptyInput("cannot average zero quaternions")
-    if weights is None:
-        w = np.ones(len(qs))
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if len(w) != len(qs):
-            raise ValueError("weights length does not match quaternion count")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        if w.sum() <= 0:
-            raise EmptyInput("weights sum to zero")
-
     acc = np.zeros((4, 4))
-    for wi, qi in zip(w, qs):
-        acc += wi * np.outer(qi, qi)
+    for qi in qs:
+        acc += np.outer(qi, qi)
     vals, vecs = np.linalg.eigh(acc)
     v = vecs[:, np.argmax(vals)]
     # Canonical sign: first nonzero component positive, preferring w.

@@ -7,7 +7,9 @@ point per VOXEL_SIZE voxel (the point selection of Rusinkiewicz & Levoy
 2001), shared by every candidate of the frame; thinning keeps input
 points, so on exact data every pair is still an exact twin.
 Pairing is target-driven: every target point claims its nearest model
-point within a distance gate.  Model regions the sensor cannot see
+point within a distance gate.  Each step pairs every target point
+afresh, with one gated nearest-neighbour query and nothing carried over
+from the step before.  Model regions the sensor cannot see
 (back faces, self-occluded geometry) never initiate pairs, so they
 cannot drag the fit.  fitness is the fraction of source points that
 some target point claims, so a thinned target pairs fewer of them:
@@ -182,46 +184,24 @@ def prepare_source(model: EEModel, clouds: Iterable[PointCloud] = ()) -> IcpSour
     return IcpSource(voxel_downsample(model.surface_cloud, voxel).points)
 
 
-class _NearestSource:
-    """Target-driven pairing: each target point with its nearest source point.
+def _nearest_pairs(
+    tree: cKDTree, tgt: np.ndarray, src: np.ndarray, place: Pose
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (i, j, distance): each target point j with its nearest source
+    point i, when they are less than MAX_CORRESPONDENCE_DISTANCE apart.
 
-    tree holds the source points in their own frame.  Each call passes
-    their current placement and the pose that put them there; a search
-    maps the target points back by that pose's inverse and queries the
-    tree.  Rigid motion preserves distances, so the pairs are those of a
-    fresh search over the placed points, with no tree built per search.
-
-    The same target is paired against successive placements, and most
-    partners survive a small move.  A target point keeps its partner while
-    the partner's lead over the runner-up, measured at the last search,
-    exceeds twice the largest source displacement since then (triangle
-    inequality); only the other points are searched again.
+    tree holds the source points in their own frame and place maps them
+    onto src.  The search maps the target points back by place's inverse,
+    so no tree is built per placement.  Its bound carries a hair of slack
+    against rounding in that map; the gate itself is cKDTree's strict
+    squared-distance test, made on src and tgt in the sensor frame.
     """
-
-    def __init__(self, tgt: np.ndarray, max_dist: float, tree: cKDTree):
-        self.tgt = tgt
-        self.max_dist = max_dist
-        self.tree = tree
-        self.src: np.ndarray | None = None
-        self.idx = np.zeros(len(tgt), dtype=np.intp)
-        # a lead of zero marks a point for search, so the first call finds all
-        self.lead = np.zeros(len(tgt))
-
-    def __call__(self, src: np.ndarray, place: Pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pairs (i, j, distance) within max_dist; place maps the tree's points onto src."""
-        if self.src is not None:
-            self.lead -= 2.0 * np.sqrt(((src - self.src) ** 2).sum(axis=1).max())
-        self.src = src
-        redo = np.flatnonzero(self.lead <= EPS_ABS)
-        if len(redo):
-            d, i = self.tree.query(invert(place).apply(self.tgt[redo]), k=2)
-            self.idx[redo] = i[:, 0]
-            self.lead[redo] = d[:, 1] - d[:, 0]
-        # the gate of cKDTree's distance_upper_bound: squared distance
-        # strictly below the squared bound
-        d2 = ((src[self.idx] - self.tgt) ** 2).sum(axis=1)
-        j = np.flatnonzero(d2 < self.max_dist * self.max_dist)
-        return self.idx[j], j, np.sqrt(d2[j])
+    gate = MAX_CORRESPONDENCE_DISTANCE
+    d, i = tree.query(invert(place).apply(tgt), distance_upper_bound=gate * (1 + 1e-9))
+    j = np.flatnonzero(np.isfinite(d))
+    d2 = ((src[i[j]] - tgt[j]) ** 2).sum(axis=1)
+    keep = d2 < gate * gate
+    return i[j[keep]], j[keep], np.sqrt(d2[keep])
 
 
 def _pair_metrics(si: np.ndarray, d: np.ndarray, n_src: int) -> tuple[float, float]:
@@ -247,23 +227,22 @@ def _plane_step(p: np.ndarray, q: np.ndarray, n: np.ndarray) -> Pose:
 
 
 def _register(
+    source: IcpSource,
+    tgt: np.ndarray,
     src_pts: np.ndarray,
-    normals: np.ndarray,
-    pairs: _NearestSource,
     si: np.ndarray,
     ti: np.ndarray,
     d: np.ndarray,
     place: Pose,
 ) -> tuple[Pose, float, float, int, bool, list[float]]:
-    """Iterate point-to-plane steps + re-pairing from a precomputed initial pairing.
+    """Iterate point-to-plane steps from the initial pairing (si, ti, d).
 
-    place maps the points of pairs.tree, whose normals are given in the
-    tree's frame, onto src_pts.  Returns the final placement (each
-    accepted step composed onto place), the final pair metrics, the
-    iteration count, the convergence flag (see IcpResult) and the RMSE
-    history.
+    place maps source.points onto src_pts.  Each step pairs every target
+    point afresh with its nearest source point at the new placement.
+    Returns the final placement (each accepted step composed onto place),
+    the final pair metrics, the iteration count, the convergence flag
+    (see IcpResult) and the RMSE history.
     """
-    tgt = pairs.tgt
     n_src = len(src_pts)
     cur = src_pts
     fitness, rmse = _pair_metrics(si, d, n_src)
@@ -272,10 +251,10 @@ def _register(
     converged = False
 
     for it in range(1, MAX_ITERATIONS + 1):
-        step = _plane_step(cur[si], tgt[ti], place.rotation.rotate(normals[si]))
+        step = _plane_step(cur[si], tgt[ti], place.rotation.rotate(source.normals[si]))
         cand = step.apply(cur)
         cand_place = compose(step, place)
-        si2, ti2, d2 = pairs(cand, cand_place)
+        si2, ti2, d2 = _nearest_pairs(source.tree, tgt, cand, cand_place)
         if len(si2) == 0:
             break
         new_fitness, new_rmse = _pair_metrics(si2, d2, n_src)
@@ -314,16 +293,16 @@ def icp_refine(source: IcpSource, target: PointCloud, initial: Pose) -> IcpResul
     if not (np.all(np.isfinite(initial.translation))):
         raise ValueError("initial pose translation is not finite")
 
+    tgt = target.points
     src0 = initial.apply(source.points)
-    pairs = _NearestSource(target.points, MAX_CORRESPONDENCE_DISTANCE, source.tree)
-    si, ti, d = pairs(src0, initial)
+    si, ti, d = _nearest_pairs(source.tree, tgt, src0, initial)
     if len(si) == 0:
         raise NoCorrespondences(
             "no target point within MAX_CORRESPONDENCE_DISTANCE of the "
             "initial placement; the initialization is too far off"
         )
     place, fitness, rmse, iterations_used, converged, history = _register(
-        src0, source.normals, pairs, si, ti, d, initial
+        source, tgt, src0, si, ti, d, initial
     )
 
     return IcpResult(

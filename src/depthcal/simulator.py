@@ -251,7 +251,9 @@ class Dataset:
     frames: list[Frame]
     gt_calibration: Pose | None
     model: EEModel
-    scenario: dict
+    # provenance of a generated dataset: save_dataset writes both to the
+    # manifest, and load_dataset reads neither back
+    scenario: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 

@@ -496,7 +496,6 @@ class TestMalformedManifest:
             lambda m: m["gt_calibration"]["t"].__setitem__(2, float("-inf")),
             lambda m: m["gt_calibration"]["q"].__setitem__(0, float("nan")),
             lambda m: m["gt_calibration"].update(q=[0.0, 0.0, 0.0, 0.0]),
-            lambda m: m.update(warnings=5),
         ],
         ids=[
             "t_b_ee_t_nan",
@@ -505,7 +504,6 @@ class TestMalformedManifest:
             "gt_calibration_t_inf",
             "gt_calibration_q_nan",
             "gt_calibration_q_zero",
-            "warnings_not_a_list",
         ],
     )
     def test_bad_pose_value_exit_3(self, tmp_path, dataset_dir, capsys, edit):

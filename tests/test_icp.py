@@ -18,11 +18,12 @@ from depthcal.geometry import (
     Pose,
     Quaternion,
     compose,
+    invert,
     rotation_distance,
 )
 from depthcal.icp import (
     IcpSource,
-    _NearestSource,
+    _nearest_pairs,
     icp_refine,
     prepare_source,
     refine_estimates,
@@ -268,18 +269,12 @@ class TestIcpRefine:
         assert res.inlier_rmse >= 0.0
 
 
-class FreshSearch:
+def fresh_search(tree, tgt, src, place=None):
     """Reference pairing: a gated 1-NN search over a tree built on every
-    placement, with _NearestSource's call signature."""
-
-    def __init__(self, tgt, max_dist):
-        self.tgt = tgt
-        self.max_dist = max_dist
-
-    def __call__(self, src, place=None):
-        d, i = cKDTree(src).query(self.tgt, distance_upper_bound=self.max_dist)
-        j = np.flatnonzero(np.isfinite(d))
-        return i[j], j, d[j]
+    placement, with _nearest_pairs's call signature (tree and place unused)."""
+    d, i = cKDTree(src).query(tgt, distance_upper_bound=icp.MAX_CORRESPONDENCE_DISTANCE)
+    j = np.flatnonzero(np.isfinite(d))
+    return i[j], j, d[j]
 
 
 def random_source_and_target(rng):
@@ -301,8 +296,6 @@ class TestNearestSource:
         rng = np.random.default_rng(7)
         src, tgt = random_source_and_target(rng)
         source = IcpSource(src)
-        pairs = _NearestSource(tgt, 0.02, source.tree)
-        fresh = FreshSearch(tgt, 0.02)
         placed, place = source.points, Pose.identity()
         for step in range(12):
             scale = 0.5**step
@@ -311,11 +304,31 @@ class TestNearestSource:
                 rng.normal(scale=0.005 * scale, size=3),
             )
             placed, place = move.apply(placed), compose(move, place)
-            si, ti, d = pairs(placed, place)
-            fi, fj, fd = fresh(placed)
+            si, ti, d = _nearest_pairs(source.tree, tgt, placed, place)
+            fi, fj, fd = fresh_search(source.tree, tgt, placed)
             np.testing.assert_array_equal(ti, fj)
             np.testing.assert_array_equal(si, fi)
             np.testing.assert_array_equal(d, fd)
+
+
+class TestGateBoundary:
+    def test_gate_is_strict_in_the_sensor_frame(self):
+        # target points exactly the gate and a hair inside it from a placed
+        # source point at the origin.  Mapped back into the model frame,
+        # both read farther than the gate, so the search's slack only widens
+        # the candidates: the strict sensor-frame test decides
+        gate = icp.MAX_CORRESPONDENCE_DISTANCE
+        inside = np.nextafter(gate, 0.0)
+        placed = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.1], [-0.1, 0.05, 0.0]])
+        tgt = np.array([[gate, 0.0, 0.0], [inside, 0.0, 0.0], [0.0, 0.0, inside], [0.0, 0.03, 0.0]])
+        place = Pose(Quaternion.from_axis_angle([1.0, 2.0, 4.0], 0.4), [0.3, -0.2, 0.5])
+        tree = cKDTree(invert(place).apply(placed))
+        model_d, _ = tree.query(invert(place).apply(tgt[:3]))
+        assert np.all(model_d > gate)
+        si, ti, d = _nearest_pairs(tree, tgt, placed, place)
+        np.testing.assert_array_equal(ti, [1, 2])
+        np.testing.assert_array_equal(si, [0, 0])
+        np.testing.assert_array_equal(d, [inside, inside])
 
 
 class TestModelFrameSearch:
@@ -333,7 +346,6 @@ class TestModelFrameSearch:
         tgt = place.apply(tgt)
         source = IcpSource(src)
         np.testing.assert_array_equal(source.points, src[:400])
-        pairs = _NearestSource(tgt, 0.02, source.tree)
         for step in range(12):
             scale = 0.5**step
             move = Pose(
@@ -342,7 +354,7 @@ class TestModelFrameSearch:
             )
             placed, place = move.apply(placed), compose(move, place)
             placed[400:] = placed[:40]
-            si, ti, d = pairs(placed[:400], place)
+            si, ti, d = _nearest_pairs(source.tree, tgt, placed[:400], place)
             dd, ii = cKDTree(placed).query(tgt, distance_upper_bound=0.02)
             j = np.flatnonzero(np.isfinite(dd))
             np.testing.assert_array_equal(ti, j)
@@ -350,22 +362,21 @@ class TestModelFrameSearch:
             np.testing.assert_array_equal(placed[si], placed[ii[j]])
             np.testing.assert_array_equal(d, dd[j])
 
-    def test_register_follows_the_placement(self, noisy_dataset):
+    def test_register_follows_the_placement(self, noisy_dataset, monkeypatch):
         # the main loop's model-frame searches against a tree built over
         # every placement: same steps, same pairs
         ds = noisy_dataset
         source = prepare_source(ds.model)
-        gate = icp.MAX_CORRESPONDENCE_DISTANCE
         for frame in ds.frames[:3]:
             gt = compose(ds.gt_calibration, frame.t_b_ee)
             start = perturbed(gt, [0.004, -0.003, 0.002], [0.5, 1.0, -0.3], 2.0)
             tgt = ee_subset(frame.cloud).points
             src0 = start.apply(source.points)
-            model_frame = _NearestSource(tgt, gate, source.tree)
-            fresh = FreshSearch(tgt, gate)
-            args = (src0, source.normals)
-            a = icp._register(*args, model_frame, *model_frame(src0, start), start)
-            b = icp._register(*args, fresh, *fresh(src0), start)
+            args = (source, tgt, src0)
+            a = icp._register(*args, *_nearest_pairs(source.tree, tgt, src0, start), start)
+            with monkeypatch.context() as m:
+                m.setattr(icp, "_nearest_pairs", fresh_search)
+                b = icp._register(*args, *fresh_search(source.tree, tgt, src0), start)
             assert a[1:] == b[1:]
             assert a[0].to_dict() == b[0].to_dict()
             assert a[3] > 1
